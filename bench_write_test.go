@@ -2,6 +2,7 @@ package skiptrie
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -117,6 +118,46 @@ func BenchmarkStoreBatchPerKey(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		m.Store(k, n)
 		k += 3
+	}
+}
+
+// BenchmarkStoreBatchSpread is BenchmarkStoreBatch in the write-churn
+// shape: sorted 16-key runs of fresh keys spread over a 4096-slot window
+// of a Map populated with 2^16 keys, so consecutive keys of a run lie
+// hundreds of level-0 nodes apart. The window advances by its width
+// every 4096 keys. ns/op is per key.
+func BenchmarkStoreBatchSpread(b *testing.B) {
+	const (
+		resident = 1 << 16
+		gap      = 1 << 12 // key space between resident keys
+		window   = 4096    // resident slots one run spreads over
+		run      = 16
+	)
+	m := MustNewMap[int](WithWidth(32))
+	for i := uint64(0); i < resident; i++ {
+		m.Store(i*gap, 0)
+	}
+	r := rand.New(rand.NewSource(1))
+	keys := make([]uint64, run)
+	vals := make([]int, run)
+	var lo uint64
+	i, stored := run, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if i == run {
+			for j := range keys {
+				slot := (lo + uint64(r.Intn(window))) % resident
+				keys[j] = slot*gap + 1 + uint64(r.Intn(gap-1))
+			}
+			slices.Sort(keys)
+			m.StoreBatch(keys, vals)
+			if stored += run; stored%window == 0 {
+				lo += window
+			}
+			i = 0
+		}
+		i++
 	}
 }
 

@@ -88,6 +88,12 @@ retry:
 	pred := l.head
 	for lv := MaxHeight - 1; lv >= 0; lv-- {
 		ps, pw := pred.next[lv].Load()
+		if ps.marked {
+			// pred was deleted at this level after the level above
+			// passed it. Its witness is the marked cell, so a CAS
+			// through it would clear the mark and resurrect pred.
+			goto retry
+		}
 		curr := ps.n
 		for {
 			c.Hop()

@@ -194,10 +194,13 @@ func (s *SkipTrie[V]) Store(key uint64, val V, c *stats.Op) bool {
 // Each pair commits individually — per-key linearizability, no batch
 // atomicity — but the descents are amortized: the x-fast trie is
 // consulted once, for the first key, and every subsequent insert
-// resumes from the previous insert's per-level bracket (skiplist.Hint)
-// instead of re-descending from the trie and the list head. The caller
-// is responsible for keys being sorted; an unsorted run stays correct
-// (hints are re-validated by every search) but loses the amortization.
+// descends from that anchor, resuming each level from the previous
+// insert's bracket there (skiplist.Hint) when the bracket lies between
+// the descent and the key. A batched key therefore never walks more
+// than a fresh descent from the anchor, and the keys of an adjacent run
+// cost a few hops each. The caller is responsible for keys being
+// sorted; an unsorted run stays correct (hints are re-validated by
+// every search) but loses the amortization.
 func (s *SkipTrie[V]) StoreRun(keys []uint64, vals []V, c *stats.Op) int {
 	inserted := 0
 	var hint skiplist.Hint

@@ -22,3 +22,9 @@ func SetTestHook(fn func(site string, n *Node)) (restore func()) {
 	testHook = fn
 	return func() { testHook = nil }
 }
+
+// UpsertHintedWithHeight is UpsertHinted with the tower height fixed by
+// the caller.
+func (l *List[V]) UpsertHintedWithHeight(key uint64, val V, start *Node, h int, hint *Hint, c *stats.Op) InsertResult {
+	return l.insertWithHeight(key, val, start, h, true, hint, c)
+}

@@ -4,11 +4,20 @@ import "skiptrie/internal/stats"
 
 // Hint carries the per-level brackets left behind by a previous insert
 // so the next insert of a nearby key — in a sorted batch, the very next
-// key — can resume its descent from those positions instead of paying a
-// full search from the list head. For a sorted run of B keys spanning S
-// level-0 positions this turns B full descents (B · O(log) searches per
-// level) into one descent plus O(S + B) total walking per level, which
-// is where StoreBatch's amortization comes from.
+// key — can resume its descent from those positions instead of walking
+// each level from the node the descent chain reaches there.
+//
+// A cached bracket is used on a level only when it lies strictly
+// between that down-chain node and the key. In a quiescent list every
+// level node in that interval is on the plain descent's path, so
+// starting there skips a prefix of the walk and reaches the same
+// bracket: a batched key never walks more than a fresh descent from the
+// same start, however far apart the keys of a run lie. For adjacent
+// ascending keys (bulk loads, coalesced sorted writes) the brackets sit
+// right beside the next key on every level, so each key after the first
+// costs a few hops per level instead of a descent, which is where
+// StoreBatch's amortization comes from. Keys that move backwards (a
+// descending run) find the hint past them and descend plainly.
 //
 // A Hint is a position cache, never a correctness input: every node it
 // holds is re-validated by the same listSearch that tolerates marked,
@@ -30,35 +39,10 @@ type Hint struct {
 // state (e.g. before reusing it for a new run or a different list).
 func (h *Hint) Reset() { *h = Hint{} }
 
-// descendResume is descend starting each level's search from the
-// hint's cached bracket for that level when one exists, falling back
-// to the down-chain of the level above (and ultimately start, or the
-// head) where the hint is not primed. lefts is updated in place, so
-// consecutive calls with ascending keys ratchet forward.
-func (l *Topology) descendResume(key uint64, start *Node, lefts *[MaxLevels]*Node, c *stats.Op) Bracket {
-	if start == nil {
-		start = l.Head()
-	}
-	t := target{key: key}
-	node := start
-	var br Bracket
-	for lv := l.levels - 1; lv >= 0; lv-- {
-		if h := lefts[lv]; h != nil {
-			node = h
-		}
-		br = l.search(t, node, c)
-		lefts[lv] = br.Left
-		if lv > 0 {
-			node = br.Left.down
-		}
-	}
-	return br
-}
-
 // UpsertHinted is Upsert resuming its descent from (and re-priming)
-// hint. start is the descent anchor used for levels the hint has not
-// primed yet — typically the x-fast trie's predecessor for the first
-// key of a run, nil for the head.
+// hint. start is the descent anchor used where the hint does not
+// apply — typically the x-fast trie's predecessor for the first key of
+// a run, nil for the head.
 func (l *List[V]) UpsertHinted(key uint64, val V, start *Node, hint *Hint, c *stats.Op) InsertResult {
 	return l.insertWithHeight(key, val, start, l.randomHeight(), true, hint, c)
 }

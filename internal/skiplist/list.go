@@ -305,7 +305,7 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 	if hint != nil {
 		lefts = &hint.lefts
 	}
-	br := l.descendResume(key, start, lefts, c)
+	br := l.descend(key, start, lefts, c)
 	t := target{key: key}
 	if br.Right.at(t) && br.Right.dead.Load() == 0 {
 		// Already present and live: the fast path allocates nothing. A
@@ -394,6 +394,7 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 			if lv == l.levels-1 {
 				tn.prev.Store(br.Left) // initial guide; FixPrev corrects it
 			}
+			hook("insert.before-raise", tn)
 			ok := false
 			if l.useDCSS {
 				c.IncDCSS()
@@ -405,6 +406,26 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 			if ok {
 				l.nodes.Add(1)
 				curr = tn
+				if !l.useDCSS && root.stop.Load() {
+					// Without the DCSS guard the link can land after a
+					// delete's top-down teardown scanned this level, so
+					// it would never be marked: tear it down here, the
+					// way Delete does. A delete that stops the tower
+					// after this load scans this level later and finds
+					// the node itself.
+					top := lv == l.levels-1
+					if top && !tn.ready.Load() {
+						l.FixPrev(br.Left, tn, c)
+					}
+					if l.markNode(tn, br.Left, c) {
+						l.nodes.Add(-1)
+						l.search(t, br.Left, c)
+					}
+					if top {
+						l.repairPrevAfterDelete(t, br.Left, c)
+					}
+					return InsertResult{Inserted: true, Root: root}
+				}
 				break
 			}
 			if root.stop.Load() {

@@ -414,6 +414,11 @@ func (l *Topology) searchTarget(t target, start *Node, c *stats.Op) Bracket {
 // traversal: starting from a top-level node (or head), locate the bracket
 // of key on every level. It fills lefts[level] and returns the level-0
 // bracket.
+//
+// Entries already in lefts are a Hint's cached brackets (hint.go): a
+// level's search starts from its entry when the entry sorts after the
+// node the down-chain reached and before key, and from the down-chain
+// node otherwise. With lefts all nil this is the plain descent.
 func (l *Topology) descend(key uint64, start *Node, lefts *[MaxLevels]*Node, c *stats.Op) Bracket {
 	if start == nil {
 		start = l.Head()
@@ -422,6 +427,10 @@ func (l *Topology) descend(key uint64, start *Node, lefts *[MaxLevels]*Node, c *
 	node := start
 	var br Bracket
 	for lv := l.levels - 1; lv >= 0; lv-- {
+		if h := lefts[lv]; h != nil && h.kind == kindData && h.key < key &&
+			(node.kind == kindHead || node.key < h.key) {
+			node = h
+		}
 		br = l.search(t, node, c)
 		lefts[lv] = br.Left
 		if lv > 0 {

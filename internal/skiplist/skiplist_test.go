@@ -332,6 +332,49 @@ func TestDisableDCSSMode(t *testing.T) {
 	CheckInvariants(t, l)
 }
 
+// TestDisableDCSSRaiseAfterDelete parks an insert between its stop-flag
+// check and the plain CAS that raises its tower to a level — a middle
+// one, and the top, whose teardown also repairs prev pointers — while a
+// delete of the key runs to completion. Without the DCSS guard the
+// raise still lands, after the delete's teardown scanned that level, so
+// the insert must mark the node itself rather than leave an unmarked
+// tower node of a dead root.
+func TestDisableDCSSRaiseAfterDelete(t *testing.T) {
+	const levels = 4
+	for _, park := range []int{1, levels - 1} {
+		l := New[any](Config{Levels: levels, DisableDCSS: true, Seed: 1})
+		l.InsertWithHeight(9, nil, nil, levels, nil)
+		paused := make(chan struct{})
+		resume := make(chan struct{})
+		var once sync.Once
+		restore := SetTestHook(func(site string, n *Node) {
+			if site == "insert.before-raise" && n.Key() == 5 && n.Level() == park {
+				once.Do(func() { close(paused) })
+				<-resume
+			}
+		})
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			l.InsertWithHeight(5, nil, nil, levels, nil)
+		}()
+		<-paused
+		if !l.Delete(5, nil, nil).Deleted {
+			t.Fatalf("level %d: delete of the parked insert's key failed", park)
+		}
+		close(resume)
+		<-done
+		restore()
+		if err := l.Validate(); err != nil {
+			t.Fatalf("parked at level %d: %v", park, err)
+		}
+		if l.Contains(5, nil, nil) || !l.Contains(9, nil, nil) {
+			t.Fatalf("parked at level %d: wrong key set after the delete", park)
+		}
+	}
+}
+
 func TestEagerRepairMode(t *testing.T) {
 	l := New[any](Config{Levels: 4, Repair: RepairEager, Seed: 5})
 	const n = 3000

@@ -54,31 +54,137 @@ func TestConcurrentBucketInitialization(t *testing.T) {
 }
 
 // TestListStaysSortedBySplitOrder verifies the global list invariant after
-// heavy growth: codes are nondecreasing and sentinels partition regular
-// nodes correctly.
+// heavy growth: live codes are nondecreasing and sentinels partition
+// regular nodes correctly. A third of the keys are left logically deleted
+// but still linked, as deletes preempted between their marking and
+// unlinking CASes leave them: the raw walk must only ever step onto a
+// marker through a deleted node's next, and Range must yield neither
+// markers nor deleted keys. Lookups of the deleted keys then unlink them.
 func TestListStaysSortedBySplitOrder(t *testing.T) {
+	const n = 5000
 	m := New[int]()
-	for i := uint64(0); i < 5000; i++ {
-		m.Insert(i*2654435761, 1)
+	for i := uint64(0); i < n; i++ {
+		m.Insert(i*2654435761, int(i))
 	}
-	n := m.sentinel(0)
-	var prev uint64
-	first := true
-	count := 0
-	for n != nil {
-		s, _ := n.next.Load()
-		if !s.marked {
-			if !first && n.code < prev {
-				t.Fatalf("split-order violated: %x after %x", n.code, prev)
+	gone := map[uint64]bool{}
+	for i := uint64(0); i < n; i += 3 {
+		k := i * 2654435761
+		markOnly(t, m, k)
+		gone[k] = true
+	}
+
+	walk := func() (live, marked int) {
+		var prev uint64
+		first := true
+		for nd := m.sentinel(0); nd != nil; {
+			if nd.code == markerCode {
+				t.Fatal("walk stepped onto a marker as a list node")
 			}
-			prev, first = n.code, false
-			if !n.sentinel {
-				count++
+			next := nd.next.Load()
+			if deleted(next) {
+				if nd.code&1 == 0 {
+					t.Fatalf("sentinel %d is marked deleted", nd.key)
+				}
+				if !gone[nd.key] {
+					t.Fatalf("live key %x is marked deleted", nd.key)
+				}
+				marked++
+				nd = next.next.Load()
+				continue
 			}
+			if !first && nd.code < prev {
+				t.Fatalf("split-order violated: %x after %x", nd.code, prev)
+			}
+			prev, first = nd.code, false
+			if nd.code&1 == 1 {
+				if gone[nd.key] {
+					t.Fatalf("deleted key %x is linked unmarked", nd.key)
+				}
+				live++
+			}
+			nd = next
 		}
-		n = s.n
+		return live, marked
 	}
-	if count != 5000 {
-		t.Fatalf("walked %d regular nodes, want 5000", count)
+
+	// markOnly's own searches unlink the deleted nodes they pass, so only
+	// some of the marked nodes are still linked.
+	if live, marked := walk(); live != n-len(gone) || marked == 0 || marked > len(gone) {
+		t.Fatalf("walked %d live and %d marked nodes, want %d and 1..%d", live, marked, n-len(gone), len(gone))
+	}
+	ranged := 0
+	m.Range(func(k uint64, v int) bool {
+		if gone[k] {
+			t.Fatalf("Range yielded deleted key %x", k)
+		}
+		if want := int(k / 2654435761); v != want {
+			t.Fatalf("Range yielded %x -> %d, want %d", k, v, want)
+		}
+		ranged++
+		return true
+	})
+	if ranged != n-len(gone) || m.Len() != ranged {
+		t.Fatalf("Range yielded %d keys, Len = %d, want %d", ranged, m.Len(), n-len(gone))
+	}
+
+	for k := range gone {
+		if _, ok := m.Lookup(k); ok {
+			t.Fatalf("lookup of deleted key %x succeeded", k)
+		}
+	}
+	if live, marked := walk(); live != n-len(gone) || marked != 0 {
+		t.Fatalf("after lookups walked %d live and %d marked nodes, want %d and 0", live, marked, n-len(gone))
+	}
+}
+
+// markOnly logically deletes key exactly as deleteIf does but skips the
+// physical unlink, leaving it to later searches.
+func markOnly(t *testing.T, m *Map[int], key uint64) {
+	t.Helper()
+	h := hash63(key)
+	code := regularCode(h)
+	_, curr := m.search(m.sentinel(h&(m.size.Load()-1)), code, key)
+	if curr == nil || curr.code != code || curr.key != key {
+		t.Fatalf("key %x not found", key)
+	}
+	next := curr.next.Load()
+	marker := &node[int]{code: markerCode}
+	marker.next.Store(next)
+	if deleted(next) || !curr.next.CompareAndSwap(next, marker) {
+		t.Fatalf("key %x: marking failed", key)
+	}
+	m.count.Add(-1)
+}
+
+// TestInsertDeleteAllocs pins the allocation cost of the marker
+// representation: a fresh Insert allocates only its node and a Delete
+// only its marker. Every bucket's sentinel is spliced in beforehand and
+// the table holds far fewer items than its growth threshold, so lazy
+// bucket initialization stays out of the measurement.
+func TestInsertDeleteAllocs(t *testing.T) {
+	const runs = 1000
+	m := New[int]()
+	for i := uint64(0); i < 4*runs; i++ {
+		m.Insert(i, 1)
+	}
+	for i := uint64(0); i < 4*runs; i++ {
+		m.Delete(i)
+	}
+	for b := 0; b < m.Buckets(); b++ {
+		m.sentinel(uint64(b))
+	}
+	next := uint64(1 << 32)
+	if got := testing.AllocsPerRun(runs, func() {
+		m.Insert(next, 1)
+		next++
+	}); got != 1 {
+		t.Fatalf("fresh Insert allocates %v objects, want 1", got)
+	}
+	next = 1 << 32
+	if got := testing.AllocsPerRun(runs, func() {
+		m.Delete(next)
+		next++
+	}); got != 1 {
+		t.Fatalf("Delete allocates %v objects, want 1", got)
 	}
 }

@@ -3,10 +3,9 @@
 // Extensible Hash Tables", PODC 2003), the table the SkipTrie paper uses
 // for its prefixes map.
 //
-// All items live in a single lock-free sorted linked list (Michael-style,
-// with logical deletion via a mark bit packed with the next pointer). The
-// list is sorted by "split order" — the bit-reversed hash — so that when
-// the bucket count doubles, a new bucket's items already form a contiguous
+// All items live in a single lock-free sorted linked list. The list is
+// sorted by "split order" — the bit-reversed hash — so that when the
+// bucket count doubles, a new bucket's items already form a contiguous
 // run inside its parent bucket's run, and "splitting" a bucket is just
 // lazily inserting one new sentinel node. Nothing is ever rehashed or
 // moved.
@@ -17,23 +16,46 @@
 // trie-node tombstoning be helped by concurrent inserts without ever
 // deleting a newer incarnation of the same prefix.
 //
+// # Marker nodes
+//
+// Links are plain atomic pointers. A delete marks its victim logically
+// deleted by CAS-ing a marker node into the victim's next field (Harris's
+// list with marker nodes, as in Java's ConcurrentSkipListMap); the marker
+// holds the victim's successor, and a later CAS on the predecessor's next
+// unlinks victim and marker together. Once a node's next holds a marker
+// it never changes again, because every CAS on a next field expects a
+// non-marker node. So a CAS on pred.next that expects curr fails once
+// pred is deleted — the guarantee a mark bit packed beside the pointer
+// gives — and inserting behind, or unlinking past, a deleted node is
+// impossible. Nodes are never re-linked once unlinked and the garbage
+// collector keeps a reachable address from being reused, so comparing
+// pointers is enough: a CAS that finds pred.next == curr links or
+// unlinks correctly whatever happened in between. The table therefore
+// needs no DCSS: every update is a single-word CAS on one next field.
+//
+// A walk visits each node with one dependent load (its header holds the
+// code, key, value and next pointer), and whether a node is deleted is
+// read from the node it links to, which the walk visits next anyway. An
+// Insert allocates its node and a Delete its marker, nothing more.
+//
 // # Split-order codes
 //
 // Keys are hashed to a 63-bit value h (the top bit of the 64-bit mix is
 // discarded). A regular item's sort code is reverse(h) | 1 — odd; the
 // sentinel for bucket b has code reverse(b) — even (bucket indexes stay
-// far below 2^62). Reversal makes bucket b's sentinel sort immediately
-// before every item with h ≡ b (mod 2^i) for the current table size 2^i,
-// which is what makes lazy splitting sound. Ties on code (possible only
-// for regular items whose 63-bit hashes collide) are broken by the key
-// itself.
+// below 2^22, so the low 42 bits of a sentinel code are zero). Reversal
+// makes bucket b's sentinel sort immediately before every item with
+// h ≡ b (mod 2^i) for the current table size 2^i, which is what makes
+// lazy splitting sound. Ties on code (possible only for regular items
+// whose 63-bit hashes collide) are broken by the key itself. Markers
+// carry markerCode, an even code no sentinel has; they are never
+// compared, only recognized.
 package splitorder
 
 import (
 	"math/bits"
 	"sync/atomic"
 
-	"skiptrie/internal/dcss"
 	"skiptrie/internal/uintbits"
 )
 
@@ -46,6 +68,10 @@ const (
 	// maxLoad is the average number of regular items per bucket beyond
 	// which the bucket count doubles.
 	maxLoad = 3
+
+	// markerCode tags marker nodes: even, so no regular item has it, and
+	// nonzero in the low 42 bits, so no sentinel has it either.
+	markerCode = 2
 )
 
 // Map is a lock-free hash map from uint64 keys to values of type V.
@@ -59,17 +85,13 @@ type Map[V comparable] struct {
 
 type segment[V comparable] [segSize]atomic.Pointer[node[V]]
 
+// node is a regular item (odd code), a bucket sentinel (even code) or a
+// marker (markerCode). A node is deleted iff its next is a marker.
 type node[V comparable] struct {
-	code     uint64 // split-order code; odd = regular, even = sentinel
-	key      uint64 // original key (regular) or bucket index (sentinel)
-	val      V
-	sentinel bool
-	next     dcss.Atom[succ[V]]
-}
-
-type succ[V comparable] struct {
-	n      *node[V]
-	marked bool
+	code uint64 // split-order code
+	key  uint64 // original key (regular) or bucket index (sentinel)
+	val  V
+	next atomic.Pointer[node[V]]
 }
 
 // New returns an empty map.
@@ -99,12 +121,18 @@ func (n *node[V]) before(code, key uint64) bool {
 	return n.key < key
 }
 
+// deleted reports whether next, loaded from some node's next field, marks
+// that node deleted.
+func deleted[V comparable](next *node[V]) bool {
+	return next != nil && next.code == markerCode
+}
+
 // Lookup returns the value stored under key.
 func (m *Map[V]) Lookup(key uint64) (V, bool) {
 	h := hash63(key)
 	code := regularCode(h)
 	start := m.sentinel(h & (m.size.Load() - 1))
-	_, _, curr := m.search(start, code, key)
+	_, curr := m.search(start, code, key)
 	if curr != nil && curr.code == code && curr.key == key {
 		return curr.val, true
 	}
@@ -119,12 +147,12 @@ func (m *Map[V]) Insert(key uint64, v V) bool {
 	n := &node[V]{code: code, key: key, val: v}
 	for {
 		start := m.sentinel(h & (m.size.Load() - 1))
-		pred, pw, curr := m.search(start, code, key)
+		pred, curr := m.search(start, code, key)
 		if curr != nil && curr.code == code && curr.key == key {
 			return false
 		}
-		n.next.Store(succ[V]{n: curr})
-		if _, ok := pred.next.CompareAndSwap(pw, succ[V]{n: n}); ok {
+		n.next.Store(curr)
+		if pred.next.CompareAndSwap(curr, n) {
 			m.count.Add(1)
 			m.maybeGrow()
 			return true
@@ -149,58 +177,67 @@ func (m *Map[V]) deleteIf(key uint64, pred func(V) bool) (V, bool) {
 	var zero V
 	h := hash63(key)
 	code := regularCode(h)
+	var marker *node[V]
 	for {
 		start := m.sentinel(h & (m.size.Load() - 1))
-		p, pw, curr := m.search(start, code, key)
+		p, curr := m.search(start, code, key)
 		if curr == nil || curr.code != code || curr.key != key {
 			return zero, false
 		}
 		if pred != nil && !pred(curr.val) {
 			return zero, false
 		}
-		cs, cw := curr.next.Load()
-		if cs.marked {
+		next := curr.next.Load()
+		if deleted(next) {
 			continue // concurrently deleted; re-search to converge
 		}
-		if _, ok := curr.next.CompareAndSwap(cw, succ[V]{n: cs.n, marked: true}); ok {
+		if marker == nil {
+			marker = &node[V]{code: markerCode}
+		}
+		marker.next.Store(next)
+		if curr.next.CompareAndSwap(next, marker) {
 			m.count.Add(-1)
 			// Best-effort physical unlink; searches clean up otherwise.
-			p.next.CompareAndSwap(pw, succ[V]{n: cs.n})
+			p.next.CompareAndSwap(curr, next)
 			return curr.val, true
 		}
 	}
 }
 
-// search walks from start (an unmarked sentinel) and returns
-// (pred, predWitness, curr) such that pred sorts before (code, key),
-// curr is the first node not before (code, key) (nil at end of list), and
-// at witness time pred was unmarked with pred.next = curr. Marked nodes
-// encountered on the way are physically unlinked.
-func (m *Map[V]) search(start *node[V], code, key uint64) (*node[V], dcss.Witness[succ[V]], *node[V]) {
-	// start is always a sentinel and sentinels are never marked, so the
-	// initial pred is always a valid unmarked left anchor.
+// search walks from start (a sentinel) and returns (pred, curr) such
+// that pred sorts before (code, key), curr is the first node not before
+// (code, key) (nil at end of list), and pred.next was curr when read.
+// Deleted nodes passed on the way are physically unlinked, and a curr
+// holding exactly (code, key) was not deleted when its next was read. A
+// curr past (code, key) is returned without that check: no caller needs
+// its liveness, and skipping it saves the load of the node it links to.
+func (m *Map[V]) search(start *node[V], code, key uint64) (pred, curr *node[V]) {
+	// start is a sentinel and sentinels are never deleted, so the initial
+	// pred is always a valid left anchor.
 retry:
-	pred := start
-	ps, pw := pred.next.Load()
-	curr := ps.n
-	for {
-		if curr == nil {
-			return pred, pw, nil
+	pred = start
+	curr = pred.next.Load()
+	for curr != nil {
+		before := curr.before(code, key)
+		if !before && (curr.code != code || curr.key != key) {
+			return pred, curr
 		}
-		cs, cw := curr.next.Load()
-		if cs.marked {
-			npw, ok := pred.next.CompareAndSwap(pw, succ[V]{n: cs.n})
-			if !ok {
+		next := curr.next.Load()
+		if deleted(next) {
+			// Unlink curr and its marker; restart if pred changed.
+			succ := next.next.Load()
+			if !pred.next.CompareAndSwap(curr, succ) {
 				goto retry
 			}
-			pw, curr = npw, cs.n
+			curr = succ
 			continue
 		}
-		if !curr.before(code, key) {
-			return pred, pw, curr
+		if !before {
+			return pred, curr
 		}
-		pred, pw, curr = curr, cw, cs.n
+		pred, curr = curr, next
 	}
+	return pred, nil
 }
 
 // sentinel returns bucket b's sentinel node, lazily splicing it (and,
@@ -220,7 +257,7 @@ func parentBucket(b uint64) uint64 {
 func (m *Map[V]) initBucket(b uint64) *node[V] {
 	slot := m.slot(b)
 	if b == 0 {
-		n := &node[V]{code: 0, sentinel: true}
+		n := &node[V]{code: 0}
 		if slot.CompareAndSwap(nil, n) {
 			return n
 		}
@@ -229,15 +266,15 @@ func (m *Map[V]) initBucket(b uint64) *node[V] {
 	parent := m.sentinel(parentBucket(b))
 	code := sentinelCode(b)
 	for {
-		pred, pw, curr := m.search(parent, code, b)
-		if curr != nil && curr.code == code && curr.sentinel {
+		pred, curr := m.search(parent, code, b)
+		if curr != nil && curr.code == code {
 			// A racing initializer already spliced it in.
 			slot.CompareAndSwap(nil, curr)
 			return slot.Load()
 		}
-		n := &node[V]{code: code, key: b, sentinel: true}
-		n.next.Store(succ[V]{n: curr})
-		if _, ok := pred.next.CompareAndSwap(pw, succ[V]{n: n}); ok {
+		n := &node[V]{code: code, key: b}
+		n.next.Store(curr)
+		if pred.next.CompareAndSwap(curr, n) {
 			slot.CompareAndSwap(nil, n)
 			return slot.Load()
 		}
@@ -278,12 +315,14 @@ func (m *Map[V]) Buckets() int {
 func (m *Map[V]) Range(fn func(key uint64, v V) bool) {
 	curr := m.sentinel(0)
 	for curr != nil {
-		cs, _ := curr.next.Load()
-		if !curr.sentinel && !cs.marked {
-			if !fn(curr.key, curr.val) {
-				return
-			}
+		next := curr.next.Load()
+		if deleted(next) {
+			curr = next.next.Load()
+			continue
 		}
-		curr = cs.n
+		if curr.code&1 == 1 && !fn(curr.key, curr.val) {
+			return
+		}
+		curr = next
 	}
 }

@@ -272,9 +272,12 @@ func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 				t.prefixes.CompareAndDelete(p.Encode(), tn)
 				continue
 			}
+			// A different node with node's key is an older incarnation
+			// being deleted, whose DeleteWalk may swing the pointer past
+			// node to a strict neighbour: it does not represent node.
 			cur := pair.Get(d)
-			if cur != nil && cur.IsData() &&
-				((d == 0 && cur.Key() >= key) || (d == 1 && cur.Key() <= key)) {
+			if cur == node || cur != nil && cur.IsData() &&
+				((d == 0 && cur.Key() > key) || (d == 1 && cur.Key() < key)) {
 				break // node is adequately represented at this level
 			}
 			// Swing the pointer outward to node, conditioned on node
