@@ -117,3 +117,64 @@ func TestAllocsStoreBatchExisting(t *testing.T) {
 		t.Fatalf("StoreBatch over existing keys allocates %.1f objects/batch, want 0", got)
 	}
 }
+
+// TestAllocsScan pins the scan paths' allocation budgets on both forms:
+// the cursor concatenates shards with one bucket cursor held by value,
+// so a 16-key Range or Descend allocates nothing and a public cursor is
+// one object, whatever the shard count.
+func TestAllocsScan(t *testing.T) {
+	m := MustNewMap[uint64](WithWidth(32), WithSeed(1))
+	s := MustNewSharded[uint64](WithWidth(32), WithShards(8), WithSeed(1))
+	for i := uint64(0); i < 1<<12; i++ {
+		k := i * (1 << 20) // spread over every shard
+		m.Store(k, i)
+		s.Store(k, i)
+	}
+	type form struct {
+		name    string
+		rng     func(uint64, func(uint64, uint64) bool)
+		descend func(uint64, func(uint64, uint64) bool)
+		iter    func() *Iter[uint64]
+	}
+	for _, f := range []form{
+		{"map", m.Range, m.Descend, m.Iter},
+		{"sharded8", s.Range, s.Descend, s.Iter},
+	} {
+		// The callback is built once, outside the measured runs.
+		var from uint64
+		n := 0
+		visit := func(uint64, uint64) bool { n++; return n < 16 }
+		if got := allocsPerRun(200, func() {
+			n = 0
+			f.rng(from, visit)
+			from += 1 << 27
+		}); got != 0 {
+			t.Errorf("%s: 16-key Range allocates %.1f objects, want 0", f.name, got)
+		}
+		if got := allocsPerRun(200, func() {
+			n = 0
+			f.descend(from, visit)
+			from += 1 << 27
+		}); got != 0 {
+			t.Errorf("%s: 16-key Descend allocates %.1f objects, want 0", f.name, got)
+		}
+		if got := allocsPerRun(200, func() {
+			f.iter().Seek(from)
+			from += 1 << 27
+		}); got > 1 {
+			t.Errorf("%s: Iter plus Seek allocates %.1f objects, want at most 1", f.name, got)
+		}
+	}
+
+	// AddBatch over a sorted run already present: no sort copy, no
+	// value slice, no new nodes.
+	st := MustNew(WithWidth(32), WithSeed(1))
+	keys := make([]uint64, 256)
+	for i := range keys {
+		keys[i] = uint64(i) * 3
+	}
+	st.AddBatch(keys)
+	if got := allocsPerRun(200, func() { st.AddBatch(keys) }); got != 0 {
+		t.Errorf("AddBatch over present keys allocates %.1f objects/batch, want 0", got)
+	}
+}

@@ -26,62 +26,33 @@ func sortBatch[V any](keys []uint64, vals []V) ([]uint64, []V) {
 	return sk, sv
 }
 
-// sortKeys is sortBatch for a bare key slice.
-func sortKeys(keys []uint64) []uint64 {
-	if sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		return keys
-	}
-	sk := make([]uint64, len(keys))
-	copy(sk, keys)
-	sort.Slice(sk, func(i, j int) bool { return sk[i] < sk[j] })
-	return sk
-}
-
 // StoreBatch stores vals[i] under keys[i] for every i, equivalent to
 // calling Store per pair but amortizing the descent cost: the run is
 // sorted once and each insert resumes its skiplist search from the
 // previous key's position, so a sorted (or nearly sorted) run touches
 // each level-0 region once instead of descending from the head per key.
+// On a Sharded the sorted run is additionally grouped by shard through
+// the routing table, so each shard's latch is taken once per chunk of
+// consecutive keys rather than once per key.
 //
 // Semantics match per-key Store exactly: each key's write is individually
 // linearizable, duplicate keys resolve last-wins in slice order, and keys
 // outside the universe are skipped. The batch as a whole is NOT atomic —
 // a concurrent reader may observe any prefix-free subset of the writes
 // mid-batch. StoreBatch panics if the slices differ in length.
-func (m *Map[V]) StoreBatch(keys []uint64, vals []V) {
+func (e *engine[V]) StoreBatch(keys []uint64, vals []V) {
 	if len(keys) != len(vals) {
 		panic("skiptrie: StoreBatch length mismatch")
 	}
 	if len(keys) == 0 {
 		return
 	}
-	t := m.m.latStart()
+	t := e.m.latStart()
 	sk, sv := sortBatch(keys, vals)
-	c := m.op()
-	m.c.StoreRun(sk, sv, c)
-	m.m.recordN(OpInsert, uint64(len(keys)), c)
-	m.m.recordLatencyN(OpInsert, len(keys), t)
-}
-
-// StoreBatch stores vals[i] under keys[i] for every i with the same
-// semantics as Map.StoreBatch: per-key linearizability, last-wins
-// duplicates, no batch atomicity. The sorted run is additionally grouped
-// by shard through the routing table, so each shard's read latch is
-// taken once per chunk of consecutive keys rather than once per key.
-// StoreBatch panics if the slices differ in length.
-func (s *Sharded[V]) StoreBatch(keys []uint64, vals []V) {
-	if len(keys) != len(vals) {
-		panic("skiptrie: StoreBatch length mismatch")
-	}
-	if len(keys) == 0 {
-		return
-	}
-	t := s.m.latStart()
-	sk, sv := sortBatch(keys, vals)
-	c := s.op()
-	s.t.StoreBatch(sk, sv, c)
-	s.m.recordN(OpInsert, uint64(len(keys)), c)
-	s.m.recordLatencyN(OpInsert, len(keys), t)
+	c := e.m.op()
+	e.t.StoreBatch(sk, sv, c)
+	e.m.recordN(OpInsert, uint64(len(keys)), c)
+	e.m.recordLatencyN(OpInsert, len(keys), t)
 }
 
 // AddBatch inserts every key in keys and returns how many were newly
@@ -93,11 +64,13 @@ func (s *SkipTrie) AddBatch(keys []uint64) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	t := s.m.latStart()
-	sk := sortKeys(keys)
-	c := s.op()
-	n := s.c.AddRun(sk, c)
-	s.m.recordN(OpInsert, uint64(len(keys)), c)
-	s.m.recordLatencyN(OpInsert, len(keys), t)
+	m := s.e.m
+	t := m.latStart()
+	// A slice of zero-size values allocates nothing.
+	sk, sv := sortBatch(keys, make([]struct{}, len(keys)))
+	c := m.op()
+	n := s.e.t.StoreBatch(sk, sv, c)
+	m.recordN(OpInsert, uint64(len(keys)), c)
+	m.recordLatencyN(OpInsert, len(keys), t)
 	return n
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"skiptrie/internal/core"
 	"skiptrie/internal/shard"
 )
 
@@ -54,7 +53,7 @@ type DiffEvent[V any] struct {
 // Errors reported by Snapshot.Diff and the CDC surface built on it.
 var (
 	// ErrSnapshotMismatch reports a diff between snapshots of different
-	// structures (or different backend kinds).
+	// structures.
 	ErrSnapshotMismatch = errors.New("skiptrie: diff requires snapshots of the same structure")
 	// ErrSnapshotOrder reports a diff whose receiver is not the older
 	// snapshot.
@@ -63,17 +62,15 @@ var (
 	ErrSnapshotClosed = errors.New("skiptrie: snapshot is closed")
 )
 
-// mapDiffErr translates the internal backends' diff errors to the
-// public sentinel set.
+// mapDiffErr translates the engine's diff errors to the public sentinel
+// set.
 func mapDiffErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, core.ErrSnapMismatch) || errors.Is(err, shard.ErrSnapMismatch):
+	switch err {
+	case shard.ErrSnapMismatch:
 		return ErrSnapshotMismatch
-	case errors.Is(err, core.ErrSnapOrder) || errors.Is(err, shard.ErrSnapOrder):
+	case shard.ErrSnapOrder:
 		return ErrSnapshotOrder
-	case errors.Is(err, core.ErrSnapClosed) || errors.Is(err, shard.ErrSnapClosed):
+	case shard.ErrSnapClosed:
 		return ErrSnapshotClosed
 	default:
 		return err
@@ -106,7 +103,7 @@ func mapDiffErr(err error) error {
 // in order onto a copy of the receiver's view reproduces newer's view.
 func (sn *Snapshot[V]) Diff(newer *Snapshot[V], emit func(DiffEvent[V]) bool) error {
 	var n uint64
-	err := sn.src.diffTo(newer.src, func(key uint64, val V, put bool) bool {
+	err := sn.sn.DiffTo(newer.sn, nil, func(key uint64, val V, put bool) bool {
 		n++
 		if put {
 			return emit(DiffEvent[V]{Key: key, Kind: DiffPut, Val: val})
@@ -116,5 +113,5 @@ func (sn *Snapshot[V]) Diff(newer *Snapshot[V], emit func(DiffEvent[V]) bool) er
 	if err == nil {
 		sn.m.recordDiff(n)
 	}
-	return err
+	return mapDiffErr(err)
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"skiptrie/internal/dump"
+	"skiptrie/internal/shard"
 )
 
 // This file implements persistence: checksummed dump streams written
@@ -126,9 +127,9 @@ type encodedPart struct {
 // dumpParts streams every part of src through enc into framed blocks
 // on w: parts are encoded concurrently (bounded by GOMAXPROCS), the
 // stream is written in part order, so record order equals key order.
-func dumpParts[V any](src snapSource[V], w io.Writer, kind dump.Kind, h *TraceHooks,
+func dumpParts[V any](src *shard.Snap[V], w io.Writer, kind dump.Kind, h *TraceHooks,
 	enc func(dst []byte, key uint64, val V) ([]byte, error)) (uint64, error) {
-	parts := src.parts()
+	parts := src.NumShards()
 	ready := make([]chan encodedPart, parts)
 	for i := range ready {
 		ready[i] = make(chan encodedPart, 1)
@@ -141,7 +142,7 @@ func dumpParts[V any](src snapSource[V], w io.Writer, kind dump.Kind, h *TraceHo
 			var out encodedPart
 			buf := make([]byte, 0, blockTarget+4096)
 			n := 0
-			it := src.part(i)
+			it := src.ShardIter(i, nil)
 			for ok := it.First(); ok; ok = it.Next() {
 				var err error
 				buf, err = enc(buf, it.Key(), it.Value())
@@ -167,7 +168,7 @@ func dumpParts[V any](src snapSource[V], w io.Writer, kind dump.Kind, h *TraceHo
 		}(i)
 	}
 
-	dw, err := dump.NewWriter(w, kind, src.width())
+	dw, err := dump.NewWriter(w, kind, src.Width())
 	if err != nil {
 		return 0, err
 	}
@@ -217,7 +218,7 @@ func appendKV[V any](codec ValueCodec[V], dst []byte, key uint64, val V) ([]byte
 // key order, so dump cost scales with cores. The stream is readable by
 // Restore on an empty Map or Sharded of the same or wider universe.
 func (sn *Snapshot[V]) Dump(w io.Writer, codec ValueCodec[V]) (uint64, error) {
-	n, err := dumpParts(sn.src, w, dump.KindKV, sn.h, func(dst []byte, key uint64, val V) ([]byte, error) {
+	n, err := dumpParts(sn.sn, w, dump.KindKV, sn.h, func(dst []byte, key uint64, val V) ([]byte, error) {
 		return appendKV(codec, dst, key, val)
 	})
 	if err == nil {
@@ -229,7 +230,7 @@ func (sn *Snapshot[V]) Dump(w io.Writer, codec ValueCodec[V]) (uint64, error) {
 // Dump writes the set snapshot's pinned membership to w as a
 // checksummed key-only stream readable by SkipTrie.Restore.
 func (sn *SetSnapshot) Dump(w io.Writer) (uint64, error) {
-	n, err := dumpParts(sn.sn.src, w, dump.KindSet, sn.sn.h, func(dst []byte, key uint64, _ struct{}) ([]byte, error) {
+	n, err := dumpParts(sn.sn.sn, w, dump.KindSet, sn.sn.h, func(dst []byte, key uint64, _ struct{}) ([]byte, error) {
 		return binary.LittleEndian.AppendUint64(dst, key), nil
 	})
 	if err == nil {
@@ -241,15 +242,8 @@ func (sn *SetSnapshot) Dump(w io.Writer) (uint64, error) {
 // Dump takes a snapshot, writes it, and closes it: the one-call form
 // of Snapshot().Dump for callers that do not need the snapshot for
 // anything else.
-func (m *Map[V]) Dump(w io.Writer, codec ValueCodec[V]) (uint64, error) {
-	sn := m.Snapshot()
-	defer sn.Close()
-	return sn.Dump(w, codec)
-}
-
-// Dump takes a snapshot, writes it, and closes it; see Snapshot.Dump.
-func (s *Sharded[V]) Dump(w io.Writer, codec ValueCodec[V]) (uint64, error) {
-	sn := s.Snapshot()
+func (e *engine[V]) Dump(w io.Writer, codec ValueCodec[V]) (uint64, error) {
+	sn := e.Snapshot()
 	defer sn.Close()
 	return sn.Dump(w, codec)
 }
@@ -327,34 +321,18 @@ func restoreKV[V any](r io.Reader, codec ValueCodec[V], width uint8, h *TraceHoo
 
 // Restore loads a KindKV dump stream into the empty map and returns
 // the number of entries applied. The target's universe must be at
-// least as wide as the stream's. A torn or corrupt stream applies only
-// its verified prefix and returns an error wrapping ErrTornDump — no
-// corrupt record is ever applied; discard the partial structure or
-// diff it against a known-good source.
-func (m *Map[V]) Restore(r io.Reader, codec ValueCodec[V]) (uint64, error) {
-	if m.Len() != 0 {
+// least as wide as the stream's; Map dumps restore into Sharded and
+// vice versa. A torn or corrupt stream applies only its verified
+// prefix and returns an error wrapping ErrTornDump — no corrupt record
+// is ever applied; discard the partial structure or diff it against a
+// known-good source.
+func (e *engine[V]) Restore(r io.Reader, codec ValueCodec[V]) (uint64, error) {
+	if e.Len() != 0 {
 		return 0, ErrRestoreNonEmpty
 	}
-	n, err := restoreKV(r, codec, uint8(m.c.Width()), m.h, func(keys []uint64, vals []V) {
-		m.StoreBatch(keys, vals)
-	})
+	n, err := restoreKV(r, codec, e.t.Width(), e.h, e.StoreBatch)
 	if err == nil {
-		m.m.recordRestore(n)
-	}
-	return n, err
-}
-
-// Restore loads a KindKV dump stream into the empty sharded map; see
-// Map.Restore. Map dumps restore into Sharded and vice versa.
-func (s *Sharded[V]) Restore(r io.Reader, codec ValueCodec[V]) (uint64, error) {
-	if s.Len() != 0 {
-		return 0, ErrRestoreNonEmpty
-	}
-	n, err := restoreKV(r, codec, s.t.Width(), s.h, func(keys []uint64, vals []V) {
-		s.StoreBatch(keys, vals)
-	})
-	if err == nil {
-		s.m.recordRestore(n)
+		e.m.recordRestore(n)
 	}
 	return n, err
 }
@@ -365,7 +343,7 @@ func (s *SkipTrie) Restore(r io.Reader) (uint64, error) {
 	if s.Len() != 0 {
 		return 0, ErrRestoreNonEmpty
 	}
-	dr, err := openRestore(r, dump.KindSet, s.c.Width())
+	dr, err := openRestore(r, dump.KindSet, s.e.t.Width())
 	if err != nil {
 		return 0, err
 	}
@@ -378,7 +356,7 @@ func (s *SkipTrie) Restore(r io.Reader) (uint64, error) {
 			if total != dr.Entries() {
 				return total, fmt.Errorf("%w: trailer counts %d entries, stream held %d", ErrTornDump, dr.Entries(), total)
 			}
-			s.m.recordRestore(total)
+			s.e.m.recordRestore(total)
 			return total, nil
 		}
 		if err != nil {
@@ -393,7 +371,7 @@ func (s *SkipTrie) Restore(r io.Reader) (uint64, error) {
 		}
 		s.AddBatch(keys)
 		total += uint64(len(keys))
-		s.h.emitDump(true, block, 0, uint64(len(keys)))
+		s.e.h.emitDump(true, block, 0, uint64(len(keys)))
 		block++
 	}
 }
@@ -427,14 +405,8 @@ type BackupCursor[V any] struct {
 // NewBackupCursor creates an incremental backup cursor positioned at
 // the current state: the first DumpDiff reports changes since this
 // call (a DumpFull resets the position to its own cut).
-func (m *Map[V]) NewBackupCursor(codec ValueCodec[V]) *BackupCursor[V] {
-	return &BackupCursor[V]{take: m.Snapshot, codec: codec, m: m.m, h: m.h, base: m.Snapshot()}
-}
-
-// NewBackupCursor creates an incremental backup cursor on the sharded
-// map; see Map.NewBackupCursor.
-func (s *Sharded[V]) NewBackupCursor(codec ValueCodec[V]) *BackupCursor[V] {
-	return &BackupCursor[V]{take: s.Snapshot, codec: codec, m: s.m, h: s.h, base: s.Snapshot()}
+func (e *engine[V]) NewBackupCursor(codec ValueCodec[V]) *BackupCursor[V] {
+	return &BackupCursor[V]{take: e.Snapshot, codec: codec, m: e.m, h: e.h, base: e.Snapshot()}
 }
 
 // DumpFull writes a full KindKV dump of the current state to w and
@@ -469,7 +441,7 @@ func (c *BackupCursor[V]) DumpDiff(w io.Writer) (uint64, error) {
 		return 0, ErrSnapshotClosed
 	}
 	next := c.take()
-	dw, err := dump.NewWriter(w, dump.KindKVDiff, c.base.src.width())
+	dw, err := dump.NewWriter(w, dump.KindKVDiff, c.base.sn.Width())
 	if err != nil {
 		next.Close()
 		return 0, err
@@ -604,24 +576,11 @@ func applyDiffStream[V any](r io.Reader, codec ValueCodec[V], width uint8,
 // applies only its verified prefix and returns an error wrapping
 // ErrTornDump; because delivery is at-least-once, re-applying the
 // regenerated stream is safe.
-func (m *Map[V]) ApplyDiff(r io.Reader, codec ValueCodec[V]) (uint64, error) {
-	n, err := applyDiffStream(r, codec, uint8(m.c.Width()),
-		func(k uint64, v V) { m.Store(k, v) },
-		func(k uint64) { m.Delete(k) })
+func (e *engine[V]) ApplyDiff(r io.Reader, codec ValueCodec[V]) (uint64, error) {
+	n, err := applyDiffStream(r, codec, e.t.Width(), e.Store,
+		func(k uint64) { e.Delete(k) })
 	if err == nil {
-		m.m.recordRestore(n)
-	}
-	return n, err
-}
-
-// ApplyDiff applies a KindKVDiff stream to the sharded map; see
-// Map.ApplyDiff.
-func (s *Sharded[V]) ApplyDiff(r io.Reader, codec ValueCodec[V]) (uint64, error) {
-	n, err := applyDiffStream(r, codec, s.t.Width(),
-		func(k uint64, v V) { s.Store(k, v) },
-		func(k uint64) { s.Delete(k) })
-	if err == nil {
-		s.m.recordRestore(n)
+		e.m.recordRestore(n)
 	}
 	return n, err
 }

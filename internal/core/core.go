@@ -227,11 +227,6 @@ func (s *SkipTrie[V]) StoreRun(keys []uint64, vals []V, c *stats.Op) int {
 	return inserted
 }
 
-// AddRun is StoreRun with zero values: the set-form batched insert.
-func (s *SkipTrie[V]) AddRun(keys []uint64, c *stats.Op) int {
-	return s.StoreRun(keys, make([]V, len(keys)), c)
-}
-
 // LoadOrStore returns the existing value for key if present; otherwise it
 // stores val. loaded reports whether the value was loaded rather than
 // stored. Keys outside the universe are rejected (returns val, false).

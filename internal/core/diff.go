@@ -1,24 +1,11 @@
 package core
 
-import (
-	"errors"
-
-	"skiptrie/internal/stats"
-)
+import "skiptrie/internal/stats"
 
 // This file implements the epoch-window diff over one trie: resolve the
 // journaled changed-key set (skiplist/journal.go) against two pinned
 // views. Cost is O(changed keys · search), independent of the trie's
 // size — untouched keys are never visited.
-
-var (
-	// ErrSnapMismatch reports a diff between snapshots of different tries.
-	ErrSnapMismatch = errors.New("core: diff requires snapshots of the same trie")
-	// ErrSnapOrder reports a diff whose receiver is the newer snapshot.
-	ErrSnapOrder = errors.New("core: diff requires the older snapshot as receiver")
-	// ErrSnapClosed reports a diff against a closed snapshot.
-	ErrSnapClosed = errors.New("core: diff on closed snapshot")
-)
 
 // DiffEpochs streams the net per-key changes between the pinned epochs
 // a and b (a <= b, both pinned by the caller for the duration) to emit,
@@ -66,21 +53,4 @@ func (s *SkipTrie[V]) DiffEpochs(a, b uint64, c *stats.Op, emit func(key uint64,
 		}
 	}
 	return true
-}
-
-// DiffTo streams the net changes from snapshot sn to the newer snapshot
-// b of the same trie; see DiffEpochs for event semantics. stopped emit
-// is not an error.
-func (sn *Snap[V]) DiffTo(b *Snap[V], c *stats.Op, emit func(key uint64, val V, put bool) bool) error {
-	if sn.s != b.s {
-		return ErrSnapMismatch
-	}
-	if sn.closed.Load() || b.closed.Load() {
-		return ErrSnapClosed
-	}
-	if sn.at > b.at {
-		return ErrSnapOrder
-	}
-	sn.s.DiffEpochs(sn.at, b.at, c, emit)
-	return nil
 }

@@ -10,15 +10,12 @@ type diffEv struct {
 	put bool
 }
 
-func collectDiff(t *testing.T, a, b *Snap[uint64]) []diffEv {
-	t.Helper()
+func collectDiff(a, b pinned) []diffEv {
 	var out []diffEv
-	if err := a.DiffTo(b, nil, func(k, v uint64, put bool) bool {
+	a.s.DiffEpochs(a.at, b.at, nil, func(k, v uint64, put bool) bool {
 		out = append(out, diffEv{k, v, put})
 		return true
-	}); err != nil {
-		t.Fatalf("DiffTo: %v", err)
-	}
+	})
 	return out
 }
 
@@ -29,8 +26,8 @@ func TestDiffBasic(t *testing.T) {
 	for k := uint64(0); k < 100; k++ {
 		s.Store(k, k, nil)
 	}
-	a := s.Snapshot()
-	defer a.Close()
+	a := pin(s)
+	defer a.release()
 
 	s.Store(200, 200, nil) // insert
 	s.Store(50, 5000, nil) // overwrite
@@ -41,10 +38,10 @@ func TestDiffBasic(t *testing.T) {
 	s.Store(20, 2020, nil)
 	s.Store(60, 60, nil) // overwrite with the same value: still a put
 
-	b := s.Snapshot()
-	defer b.Close()
+	b := pin(s)
+	defer b.release()
 
-	got := collectDiff(t, a, b)
+	got := collectDiff(a, b)
 	want := []diffEv{
 		{10, 0, false},
 		{20, 2020, true},
@@ -61,7 +58,7 @@ func TestDiffBasic(t *testing.T) {
 		}
 	}
 	// Untouched window: empty diff.
-	if d := collectDiff(t, b, b); len(d) != 0 {
+	if d := collectDiff(b, b); len(d) != 0 {
 		t.Fatalf("self-diff = %v, want empty", d)
 	}
 }
@@ -73,8 +70,8 @@ func TestDiffApplyReproducesView(t *testing.T) {
 	for k := uint64(0); k < 5000; k++ {
 		s.Store(k*3, k, nil)
 	}
-	a := s.Snapshot()
-	defer a.Close()
+	a := pin(s)
+	defer a.release()
 	for k := uint64(0); k < 5000; k += 2 {
 		switch k % 6 {
 		case 0:
@@ -85,17 +82,17 @@ func TestDiffApplyReproducesView(t *testing.T) {
 			s.Store(k*3+1, k, nil) // insert
 		}
 	}
-	b := s.Snapshot()
-	defer b.Close()
+	b := pin(s)
+	defer b.release()
 
 	model := make(map[uint64]uint64)
-	ai := a.NewIter(nil)
+	ai := a.iter()
 	for ok := ai.Seek(0); ok; ok = ai.Next() {
 		model[ai.Key()] = ai.Value()
 	}
 	var prev uint64
 	first := true
-	if err := a.DiffTo(b, nil, func(k, v uint64, put bool) bool {
+	a.s.DiffEpochs(a.at, b.at, nil, func(k, v uint64, put bool) bool {
 		if !first && k <= prev {
 			t.Fatalf("diff keys not strictly ascending: %d after %d", k, prev)
 		}
@@ -109,11 +106,9 @@ func TestDiffApplyReproducesView(t *testing.T) {
 			delete(model, k)
 		}
 		return true
-	}); err != nil {
-		t.Fatalf("DiffTo: %v", err)
-	}
+	})
 
-	bi := b.NewIter(nil)
+	bi := b.iter()
 	n := 0
 	for ok := bi.Seek(0); ok; ok = bi.Next() {
 		n++
@@ -126,43 +121,22 @@ func TestDiffApplyReproducesView(t *testing.T) {
 	}
 }
 
-// TestDiffErrors: mismatched tries, reversed order, closed snapshots.
-func TestDiffErrors(t *testing.T) {
-	s1 := New[uint64](Config{Width: 16})
-	s2 := New[uint64](Config{Width: 16})
-	a := s1.Snapshot()
-	b := s2.Snapshot()
-	if err := a.DiffTo(b, nil, nil); err != ErrSnapMismatch {
-		t.Fatalf("cross-trie diff err = %v", err)
-	}
-	b.Close()
-	b = s1.Snapshot()
-	if err := b.DiffTo(a, nil, nil); err != ErrSnapOrder {
-		t.Fatalf("reversed diff err = %v", err)
-	}
-	b.Close()
-	if err := a.DiffTo(b, nil, nil); err != ErrSnapClosed {
-		t.Fatalf("closed diff err = %v", err)
-	}
-	a.Close()
-}
-
 // TestDiffEarlyStop: emit returning false stops the walk without error.
 func TestDiffEarlyStop(t *testing.T) {
 	s := New[uint64](Config{Width: 16})
-	a := s.Snapshot()
-	defer a.Close()
+	a := pin(s)
+	defer a.release()
 	for k := uint64(0); k < 100; k++ {
 		s.Store(k, k, nil)
 	}
-	b := s.Snapshot()
-	defer b.Close()
+	b := pin(s)
+	defer b.release()
 	n := 0
-	if err := a.DiffTo(b, nil, func(uint64, uint64, bool) bool {
+	if a.s.DiffEpochs(a.at, b.at, nil, func(uint64, uint64, bool) bool {
 		n++
 		return n < 5
-	}); err != nil {
-		t.Fatalf("DiffTo: %v", err)
+	}) {
+		t.Fatal("DiffEpochs reported a completed walk after emit stopped it")
 	}
 	if n != 5 {
 		t.Fatalf("emit called %d times after stop at 5", n)

@@ -29,15 +29,9 @@ type Iter[V any] struct {
 }
 
 // MakeIter returns an unpositioned value cursor (stack-friendly for
-// internal scans and for embedding in the sharded merge).
+// internal scans and for embedding in the sharded cursor).
 func (s *SkipTrie[V]) MakeIter(c *stats.Op) Iter[V] {
 	return Iter[V]{s: s, it: s.list.MakeIter(), c: c}
-}
-
-// NewIter returns an unpositioned cursor over the trie.
-func (s *SkipTrie[V]) NewIter(c *stats.Op) *Iter[V] {
-	it := s.MakeIter(c)
-	return &it
 }
 
 // MakeSnapIter returns an unpositioned cursor over the view pinned at
@@ -45,16 +39,10 @@ func (s *SkipTrie[V]) NewIter(c *stats.Op) *Iter[V] {
 // exactly the keys visible at that epoch with the values current then,
 // with the same navigation costs as the live cursor. Unlike the live
 // cursor it is strongly consistent — the pinned view cannot change
-// under it.
+// under it. Epochs start at 1, so at == 0 selects the live view: the
+// cursor MakeIter returns.
 func (s *SkipTrie[V]) MakeSnapIter(at uint64, c *stats.Op) Iter[V] {
 	return Iter[V]{s: s, it: s.list.MakeSnapIter(at), c: c}
-}
-
-// NewSnapIter returns an unpositioned snapshot cursor, like
-// MakeSnapIter.
-func (s *SkipTrie[V]) NewSnapIter(at uint64, c *stats.Op) *Iter[V] {
-	it := s.MakeSnapIter(at, c)
-	return &it
 }
 
 // Valid reports whether the cursor rests on a key.

@@ -11,7 +11,7 @@ func TestIterBasics(t *testing.T) {
 	for _, k := range keys {
 		s.Insert(k, k*2, nil)
 	}
-	it := s.NewIter(nil)
+	it := s.MakeIter(nil)
 
 	// Fresh cursor: Next is First, then forward walk yields everything.
 	var got []uint64
@@ -31,7 +31,7 @@ func TestIterBasics(t *testing.T) {
 	}
 
 	// Fresh cursor: Prev is Last, then backward walk reverses.
-	it2 := s.NewIter(nil)
+	it2 := s.MakeIter(nil)
 	got = got[:0]
 	for ok := it2.Prev(); ok; ok = it2.Prev() {
 		got = append(got, it2.Key())
@@ -47,7 +47,7 @@ func TestIterUniverseClamping(t *testing.T) {
 	s := newTrie(8) // universe [0, 256)
 	s.Insert(10, 1, nil)
 	s.Insert(200, 2, nil)
-	it := s.NewIter(nil)
+	it := s.MakeIter(nil)
 	if !it.Seek(0) || it.Key() != 10 {
 		t.Fatal("Seek(0) should land on 10")
 	}
@@ -72,7 +72,7 @@ func TestIterBaseTranslation(t *testing.T) {
 	for _, k := range []uint64{1<<20 + 3, 1<<20 + 99} {
 		s.Insert(k, k, nil)
 	}
-	it := s.NewIter(nil)
+	it := s.MakeIter(nil)
 	if !it.Seek(0) {
 		t.Fatal("Seek(0) found nothing")
 	}
@@ -100,7 +100,7 @@ func TestIterDirectionSwitch(t *testing.T) {
 	for _, k := range []uint64{10, 20, 30, 40} {
 		s.Insert(k, k, nil)
 	}
-	it := s.NewIter(nil)
+	it := s.MakeIter(nil)
 	steps := []struct {
 		fwd  bool
 		want uint64
@@ -140,7 +140,7 @@ func TestIterVsRangeQuiesced(t *testing.T) {
 	var viaRange []uint64
 	s.Range(0, func(k uint64, _ uint64) bool { viaRange = append(viaRange, k); return true }, nil)
 	var viaIter []uint64
-	it := s.NewIter(nil)
+	it := s.MakeIter(nil)
 	for ok := it.First(); ok; ok = it.Next() {
 		viaIter = append(viaIter, it.Key())
 	}

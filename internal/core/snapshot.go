@@ -1,17 +1,17 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"skiptrie/internal/stats"
 )
 
 // This file lifts the skiplist's epoch machinery (skiplist/epoch.go) to
-// the composed SkipTrie: pinning an epoch, point reads against a pinned
-// epoch, and the Snap handle bundling a pin with its reads. The x-fast
-// trie needs no epoch awareness — it only accelerates descents, and
-// visibility is decided at the bottom list.
+// the composed SkipTrie: pinning an epoch and point reads against a
+// pinned epoch (the snapshot cursor is MakeSnapIter, the window diff
+// DiffEpochs; internal/shard bundles pins into snapshot handles). The
+// x-fast trie needs no epoch awareness — it only accelerates descents,
+// and visibility is decided at the bottom list.
 
 // PinEpoch pins the trie's current epoch and returns it: until a
 // matching ReleaseEpoch, every key and value version visible at the
@@ -51,52 +51,4 @@ func (s *SkipTrie[V]) FindAt(key, at uint64, c *stats.Op) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Snap is a consistent point-in-time view of one SkipTrie: a pinned
-// epoch plus the read surface over it. It is created by Snapshot,
-// stays valid — and unchanging — under concurrent updates, and must be
-// released with Close so retained nodes can be reclaimed. All methods
-// are safe for concurrent use (each cursor, as always, belongs to one
-// goroutine).
-type Snap[V any] struct {
-	s      *SkipTrie[V]
-	at     uint64
-	closed atomic.Bool
-}
-
-// Snapshot pins the current epoch and returns the view at it. The pin
-// is O(1): no copying, no quiescence — concurrent updates proceed
-// immediately, with deletes retaining their nodes until no snapshot
-// needs them.
-func (s *SkipTrie[V]) Snapshot() *Snap[V] {
-	return &Snap[V]{s: s, at: s.PinEpoch()}
-}
-
-// At returns the pinned epoch.
-func (sn *Snap[V]) At() uint64 { return sn.at }
-
-// Width returns the universe width of the snapshotted trie.
-func (sn *Snap[V]) Width() uint8 { return sn.s.Width() }
-
-// Load returns the value key held when the snapshot was taken.
-func (sn *Snap[V]) Load(key uint64, c *stats.Op) (V, bool) {
-	return sn.s.FindAt(key, sn.at, c)
-}
-
-// NewIter returns an unpositioned cursor over the snapshot.
-func (sn *Snap[V]) NewIter(c *stats.Op) *Iter[V] {
-	return sn.s.NewSnapIter(sn.at, c)
-}
-
-// Close releases the snapshot's pin, allowing retained nodes to be
-// reclaimed. It reports whether this call closed the snapshot; only
-// the first call does, and reads must not be in flight or issued after
-// it.
-func (sn *Snap[V]) Close() bool {
-	if !sn.closed.CompareAndSwap(false, true) {
-		return false
-	}
-	sn.s.ReleaseEpoch(sn.at)
-	return true
 }

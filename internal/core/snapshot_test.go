@@ -4,8 +4,24 @@ import (
 	"testing"
 )
 
-func snapKeys(sn *Snap[uint64]) []uint64 {
-	it := sn.NewIter(nil)
+// pinned is a view pinned at one epoch of one trie: the pin plus the
+// read surface (FindAt, MakeSnapIter, DiffEpochs) that the snapshot
+// handles in internal/shard bundle per bucket.
+type pinned struct {
+	s  *SkipTrie[uint64]
+	at uint64
+}
+
+func pin(s *SkipTrie[uint64]) pinned { return pinned{s: s, at: s.PinEpoch()} }
+
+func (p pinned) load(key uint64) (uint64, bool) { return p.s.FindAt(key, p.at, nil) }
+
+func (p pinned) iter() Iter[uint64] { return p.s.MakeSnapIter(p.at, nil) }
+
+func (p pinned) release() { p.s.ReleaseEpoch(p.at) }
+
+func snapKeys(p pinned) []uint64 {
+	it := p.iter()
 	var out []uint64
 	for ok := it.First(); ok; ok = it.Next() {
 		out = append(out, it.Key())
@@ -32,8 +48,8 @@ func TestSnapshotBasic(t *testing.T) {
 	for _, k := range []uint64{5, 10, 15, 20} {
 		s.Store(k, k*10, nil)
 	}
-	sn := s.Snapshot()
-	defer sn.Close()
+	sn := pin(s)
+	defer sn.release()
 
 	s.Delete(10, nil)
 	s.Store(25, 250, nil)
@@ -42,17 +58,17 @@ func TestSnapshotBasic(t *testing.T) {
 	if got := snapKeys(sn); !eqU64(got, []uint64{5, 10, 15, 20}) {
 		t.Fatalf("snapshot keys = %v", got)
 	}
-	if v, ok := sn.Load(10, nil); !ok || v != 100 {
+	if v, ok := sn.load(10); !ok || v != 100 {
 		t.Fatalf("snapshot Load(10) = %d,%v want 100,true", v, ok)
 	}
-	if v, ok := sn.Load(15, nil); !ok || v != 150 {
+	if v, ok := sn.load(15); !ok || v != 150 {
 		t.Fatalf("snapshot Load(15) = %d,%v want pre-overwrite 150", v, ok)
 	}
-	if _, ok := sn.Load(25, nil); ok {
+	if _, ok := sn.load(25); ok {
 		t.Fatal("snapshot must not see the post-pin insert")
 	}
 	// Descending over the same view.
-	it := sn.NewIter(nil)
+	it := sn.iter()
 	var desc []uint64
 	for ok := it.Last(); ok; ok = it.Prev() {
 		desc = append(desc, it.Key())
@@ -69,26 +85,25 @@ func TestSnapshotBasic(t *testing.T) {
 	}
 }
 
-// TestSnapshotCloseIdempotentAndSweep: Close reports once and releases
-// retention; Validate stays clean afterwards.
+// TestSnapshotCloseIdempotentAndSweep: releasing the pin releases
+// retention; Validate stays clean afterwards. (Handle-level Close
+// idempotency lives in internal/shard's snapshot tests.)
 func TestSnapshotCloseIdempotentAndSweep(t *testing.T) {
 	s := New[uint64](Config{Width: 16, Seed: 7})
 	for k := uint64(0); k < 64; k++ {
 		s.Store(k, k, nil)
 	}
-	sn := s.Snapshot()
+	sn := pin(s)
 	for k := uint64(0); k < 64; k += 2 {
 		s.Delete(k, nil)
 	}
 	if got := len(snapKeys(sn)); got != 64 {
 		t.Fatalf("snapshot sees %d keys, want 64", got)
 	}
-	if !sn.Close() {
-		t.Fatal("first Close must report true")
+	if s.PinnedEpochs() != 1 {
+		t.Fatalf("pins before release: %d, want 1", s.PinnedEpochs())
 	}
-	if sn.Close() {
-		t.Fatal("second Close must report false")
-	}
+	sn.release()
 	if s.PinnedEpochs() != 0 {
 		t.Fatalf("pins left: %d", s.PinnedEpochs())
 	}
@@ -107,16 +122,16 @@ func TestSnapshotWithBase(t *testing.T) {
 	for _, k := range []uint64{0x400, 0x410, 0x4FF} {
 		s.Store(k, k, nil)
 	}
-	sn := s.Snapshot()
-	defer sn.Close()
+	sn := pin(s)
+	defer sn.release()
 	s.Delete(0x410, nil)
 	if got := snapKeys(sn); !eqU64(got, []uint64{0x400, 0x410, 0x4FF}) {
 		t.Fatalf("snapshot keys = %#x", got)
 	}
-	if v, ok := sn.Load(0x410, nil); !ok || v != 0x410 {
+	if v, ok := sn.load(0x410); !ok || v != 0x410 {
 		t.Fatalf("Load(0x410) = %#x,%v", v, ok)
 	}
-	if _, ok := sn.Load(0x300, nil); ok {
+	if _, ok := sn.load(0x300); ok {
 		t.Fatal("out-of-universe key visible")
 	}
 }
@@ -128,12 +143,12 @@ func TestSnapshotSeekWithinView(t *testing.T) {
 	for _, k := range []uint64{100, 200, 300} {
 		s.Store(k, k, nil)
 	}
-	sn := s.Snapshot()
-	defer sn.Close()
+	sn := pin(s)
+	defer sn.release()
 	s.Delete(200, nil)
 	s.Store(250, 250, nil)
 
-	it := sn.NewIter(nil)
+	it := sn.iter()
 	if ok := it.Seek(150); !ok || it.Key() != 200 {
 		t.Fatalf("Seek(150) = %d, want deleted-but-pinned 200", it.Key())
 	}
@@ -150,7 +165,7 @@ func TestSnapshotSeekWithinView(t *testing.T) {
 func TestSnapshotManyEpochs(t *testing.T) {
 	s := New[uint64](Config{Width: 16, Seed: 13})
 	type stage struct {
-		sn   *Snap[uint64]
+		sn   pinned
 		want []uint64
 	}
 	var stages []stage
@@ -169,7 +184,7 @@ func TestSnapshotManyEpochs(t *testing.T) {
 				want = append(want, j)
 			}
 		}
-		stages = append(stages, stage{s.Snapshot(), want})
+		stages = append(stages, stage{pin(s), want})
 	}
 	for i, st := range stages {
 		if got := snapKeys(st.sn); !eqU64(got, st.want) {
@@ -177,7 +192,7 @@ func TestSnapshotManyEpochs(t *testing.T) {
 		}
 	}
 	for _, st := range stages {
-		st.sn.Close()
+		st.sn.release()
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestTortureBoundaryChurnMergeScans churns the keys at every shard
-// boundary while readers drive the k-way merge cursor across those same
+// boundary while readers drive the shard cursor across those same
 // boundaries in both directions, checking strict monotonicity, value
 // integrity, and that only ever-written keys appear. Run under -race in
 // CI in both DCSS and CAS-fallback modes — the testenv knob rebuilds
@@ -58,7 +58,7 @@ func TestTortureBoundaryChurnMergeScans(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			it := tr.NewIter(nil)
+			it := tr.MakeIter(nil)
 			for i := 0; i < iters/10; i++ {
 				last, first := uint64(0), true
 				for ok := it.Seek(0); ok; ok = it.Next() {

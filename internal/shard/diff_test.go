@@ -25,7 +25,7 @@ func shardDiff(t *testing.T, a, b *Snap[uint64]) []sdiffEv {
 // materialize builds a key→value map of a snapshot's contents.
 func materialize(sn *Snap[uint64]) map[uint64]uint64 {
 	m := make(map[uint64]uint64)
-	it := sn.NewIter(nil)
+	it := sn.MakeIter(nil)
 	for ok := it.First(); ok; ok = it.Next() {
 		m[it.Key()] = it.Value()
 	}

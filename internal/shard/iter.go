@@ -1,204 +1,107 @@
 package shard
 
 import (
-	"runtime"
-	"sync"
-
 	"skiptrie/internal/core"
 	"skiptrie/internal/stats"
 )
 
-// parallelSeedMin is the shard count at which eager seeding (SeekAll)
-// fans the per-shard descents out across goroutines: below it the
-// coordination costs more than the k sequential O(log log u) descents
-// it hides.
-const parallelSeedMin = 8
-
-// Iter is a pull-based cursor over the sharded trie: a loser-tree k-way
-// merge over one core.Iter per shard. Each step is one advance of the
-// winning shard's cursor plus an O(log k) replay of the tournament,
-// instead of the per-boundary neighbor-extrema re-probing the stitched
-// scan used to do.
+// Iter is a pull-based cursor over the sharded trie, serving live
+// scans (Trie.MakeIter) and pinned ones (Snap.MakeIter) alike. A
+// routing table's buckets tile the universe in key order and each
+// bucket's trie holds only keys of its own range, so a cross-shard
+// scan is a concatenation, not a merge: one bucket cursor is live at a
+// time, and stepping off a bucket's edge enters the next bucket in scan
+// direction at its range edge. Empty buckets cost one O(log log u)
+// descent each.
 //
-// The cursor works over one table snapshot at a time: every positioning
-// call (Seek, SeekLE, First, Last, SeekAll, SeekAllLE) re-reads the
-// current routing table and re-seeds onto it if a Split or Merge has
-// republished it, while Next/Prev keep the snapshot so a running scan
-// stays strictly monotone. A scan running over a retired snapshot reads
-// the retired shards' frozen contents — within the weak-consistency
-// window ordered scans already have (each shard observed at its own
-// instants), since every frozen key was live when the shard was sealed,
-// inside the scan's window.
+// A live cursor re-reads the routing table on every positioning call
+// (Seek, SeekLE, First, Last), while Next and Prev keep the table they
+// started on, so a running scan stays strictly monotone across a Split
+// or Merge. A bucket retired mid-scan is read in its frozen final
+// state, every key of which was live when the bucket was sealed, inside
+// the scan's window. The live cursor inherits each shard's weak
+// consistency (see core.Iter) and adds the cross-shard window Trie's
+// ordered queries already have: each shard is observed at its own
+// instants. A pinned cursor walks its snapshot's table and epochs and
+// never re-reads the routing table; the pinned view is the view.
 //
-// Shard cursors are seeded lazily. A seek excludes shards entirely on
-// the wrong side of the key arithmetically and enters the rest as
-// *pending* leaves whose comparison key is an optimistic bound (the
-// shard's first possible key in scan direction); a pending leaf is
-// materialized — its cursor actually seeked, one O(log log u) descent
-// — only when it wins the tournament. Materializing can only move a
-// leaf's key toward scan order (the bound is extremal), so no key is
-// ever yielded out of order, and a scan that stops after a few keys
-// descends only into the shards it touched. SeekAll/SeekAllLE instead
-// materialize every cursor up front — in parallel goroutines for wide
-// tables — which a full-universe scan amortizes. Shards own disjoint
-// key ranges so the merge degenerates to concatenation, but the tree
-// does not rely on that: it stays correct for overlapping cursors,
-// which is exactly what a scan spanning a mid-split snapshot produces.
-//
-// The cursor inherits each shard's weak consistency (see core.Iter) and
-// adds the cross-shard window Sharded ordered queries already have:
-// every shard is observed at its own instants, so keys moving between
-// shards mid-scan may be seen in neither or both shards' passes.
-// Yielded keys remain strictly monotone. Reversing direction mid-scan
-// re-seeks (lazily) from the current key. Not safe for concurrent use;
-// create one per scanner.
+// Reversing direction mid-scan re-seeks from the current key. Not safe
+// for concurrent use; create one per scanner.
 type Iter[V any] struct {
 	t    *Trie[V]
-	tab  *table[V]      // routing snapshot the cursor is seeded on
-	c    *stats.Op      // step counter shared by the sub-cursors
-	subs []core.Iter[V] // one cursor per bucket, indexed by bucket slot
-	// st packs the per-slot tournament state and the loser tree into
-	// one allocation: st[s].key/ok/pend are slot s's cached comparison
-	// key (real when materialized, optimistic bound while pending),
-	// liveness, and materialization flag; st[i].loser is internal tree
-	// node i's stored loser (children 2i and 2i+1, leaves at indices
-	// k..2k-1 standing for slots 0..k-1, i in 1..k-1). The overall
-	// winner lives in cur. k is len(st), the bucket count padded up to a
-	// power of two (padding slots are permanently dead), so the tree is
-	// perfect and replay compares cached words instead of chasing
-	// cursor internals.
-	st  []slot
-	cur int
-	// thr caches the best challenger key on the winner's leaf-to-root
-	// path (valid when hasThr): while the winner's key stays strictly
-	// on the scan side of thr, advancing it cannot change the
-	// tournament, so sequential runs inside one shard skip the tree
-	// replay entirely — one comparison per step.
-	thr      uint64
-	hasThr   bool
-	thrStale bool // a replay/rebuild moved the tree since thr was cached
-
-	from uint64 // seek bound pending slots materialize against
-	dir  int8   // +1 ascending, -1 descending, 0 unpositioned
-	dead bool   // exhausted by stepping past the universe edge
+	tab  *table[V]    // routing table the cursor walks
+	pins []uint64     // pinned epoch per bucket of tab; nil for a live cursor
+	c    *stats.Op    // step counter shared by the bucket cursors
+	bi   int          // index of the bucket sub is positioned in
+	sub  core.Iter[V] // cursor over bucket bi
+	dir  int8         // +1 ascending, -1 descending, 0 unpositioned
+	dead bool         // exhausted by stepping past the last bucket
 }
 
-// slot is one shard's tournament state plus one loser-tree node (the
-// two index spaces have the same size, so they share a slice).
-type slot struct {
-	key   uint64
-	loser int32
-	ok    bool
-	pend  bool
-}
-
-// ceilPow2 returns the smallest power of two >= n (n >= 1).
-func ceilPow2(n int) int {
-	k := 1
-	for k < n {
-		k <<= 1
-	}
-	return k
-}
-
-// MakeIter returns an unpositioned value cursor over the sharded trie.
-func (t *Trie[V]) MakeIter(c *stats.Op) Iter[V] {
-	it := Iter[V]{t: t, c: c}
-	it.build(t.tab.Load())
-	return it
-}
-
-// NewIter returns an unpositioned cursor over the sharded trie.
-func (t *Trie[V]) NewIter(c *stats.Op) *Iter[V] {
-	it := t.MakeIter(c)
-	return &it
-}
-
-// build (re)creates the per-shard cursors and tournament slots for a
-// routing snapshot.
-func (m *Iter[V]) build(tab *table[V]) {
-	m.tab = tab
-	k := len(tab.buckets)
-	m.subs = make([]core.Iter[V], k)
-	for i, b := range tab.buckets {
-		m.subs[i] = b.trie.MakeIter(m.c)
-	}
-	m.st = make([]slot, ceilPow2(k))
-}
-
-// refresh re-seeds the cursor onto the current routing table if a
-// reshard has republished it since the cursor was built.
-func (m *Iter[V]) refresh() {
-	if tab := m.t.tab.Load(); tab != m.tab {
-		m.build(tab)
-	}
-}
+// MakeIter returns an unpositioned live cursor over the sharded trie.
+func (t *Trie[V]) MakeIter(c *stats.Op) Iter[V] { return Iter[V]{t: t, c: c} }
 
 // Valid reports whether the cursor rests on a key.
-func (m *Iter[V]) Valid() bool {
-	return m.dir != 0 && !m.dead && m.st[m.cur].ok && !m.st[m.cur].pend
-}
+func (m *Iter[V]) Valid() bool { return m.dir != 0 && !m.dead && m.sub.Valid() }
 
 // Key returns the key under the cursor. Only meaningful when Valid.
-func (m *Iter[V]) Key() uint64 { return m.st[m.cur].key }
+func (m *Iter[V]) Key() uint64 { return m.sub.Key() }
 
-// Value returns the value under the cursor. Only meaningful when Valid.
-func (m *Iter[V]) Value() V { return m.subs[m.cur].Value() }
+// Value returns the value under the cursor (on a pinned cursor, the one
+// current at its shard's pin). Only meaningful when Valid.
+func (m *Iter[V]) Value() V { return m.sub.Value() }
 
-// Seek positions the cursor on the smallest key >= from across all
-// shards and reports whether such a key exists. Shards entirely below
-// from are excluded arithmetically; the rest enter the tournament as
-// pending leaves bounded by their lowest possible key and are descended
-// into only when the scan reaches them.
+// position starts a seek in direction dir; a live cursor adopts the
+// current routing table.
+func (m *Iter[V]) position(dir int8) {
+	if m.pins == nil {
+		m.tab = m.t.tab.Load()
+	}
+	m.dir, m.dead = dir, false
+}
+
+// walk enters buckets from index i onward in scan direction until one
+// yields a key, seeking each from `from`. Buckets are ordered, so a
+// bound inside bucket i lies at or beyond the far edge of every later
+// bucket, and core.Iter clamps it to that bucket's range edge.
+func (m *Iter[V]) walk(i int, from uint64) bool {
+	for bs := m.tab.buckets; i >= 0 && i < len(bs); i += int(m.dir) {
+		var at uint64 // 0 selects the live view
+		if m.pins != nil {
+			at = m.pins[i]
+		}
+		m.bi = i
+		m.sub = bs[i].trie.MakeSnapIter(at, m.c)
+		if m.dir > 0 && m.sub.Seek(from) || m.dir < 0 && m.sub.SeekLE(from) {
+			return true
+		}
+	}
+	m.dead = true
+	return false
+}
+
+// Seek positions the cursor on the smallest key >= from, reporting
+// whether such a key exists.
 func (m *Iter[V]) Seek(from uint64) bool {
-	m.refresh()
-	m.dir, m.dead, m.from = +1, false, from
+	m.position(+1)
 	if !m.t.inUniverse(from) {
 		m.dead = true
 		return false
 	}
-	bs := m.tab.buckets
-	for i := range m.st {
-		if i >= len(bs) || bs[i].hi < from {
-			m.st[i].ok, m.st[i].pend = false, false
-			continue
-		}
-		// Optimistic bound: the smallest key shard i could yield.
-		b := bs[i].lo
-		if b < from {
-			b = from
-		}
-		m.st[i].key, m.st[i].ok, m.st[i].pend = b, true, true
-	}
-	m.cur = m.rebuild(1)
-	m.thrStale = true
-	m.settle()
-	return m.Valid()
+	_, i := m.tab.routeIdx(from)
+	return m.walk(i, from)
 }
 
-// SeekLE positions the cursor on the largest key <= from across all
-// shards, reporting whether such a key exists. A from above the
-// universe clamps to its maximum.
+// SeekLE positions the cursor on the largest key <= from, reporting
+// whether such a key exists. A from above the universe clamps to its
+// maximum.
 func (m *Iter[V]) SeekLE(from uint64) bool {
-	m.refresh()
-	m.dir, m.dead, m.from = -1, false, from
-	bs := m.tab.buckets
-	for i := range m.st {
-		if i >= len(bs) || bs[i].lo > from {
-			m.st[i].ok, m.st[i].pend = false, false
-			continue
-		}
-		// Optimistic bound: the largest key shard i could yield.
-		b := bs[i].hi
-		if b > from {
-			b = from
-		}
-		m.st[i].key, m.st[i].ok, m.st[i].pend = b, true, true
+	m.position(-1)
+	if max := m.t.MaxKey(); from > max {
+		from = max
 	}
-	m.cur = m.rebuild(1)
-	m.thrStale = true
-	m.settle()
-	return m.Valid()
+	_, i := m.tab.routeIdx(from)
+	return m.walk(i, from)
 }
 
 // First positions the cursor on the smallest key.
@@ -207,90 +110,7 @@ func (m *Iter[V]) First() bool { return m.Seek(0) }
 // Last positions the cursor on the largest key.
 func (m *Iter[V]) Last() bool { return m.SeekLE(m.t.MaxKey()) }
 
-// SeekAll positions like Seek but materializes every shard cursor
-// eagerly instead of lazily — in parallel goroutines when at least
-// parallelSeedMin shards participate and no step counter is attached
-// (a shared *stats.Op cannot be updated from several goroutines). Use
-// it for scans known to visit most of the key space, where every
-// shard's descent is needed anyway and fanning them out hides their
-// latency; short or early-terminated scans are better served by Seek's
-// lazy materialization.
-func (m *Iter[V]) SeekAll(from uint64) bool { return m.seekEager(from, +1) }
-
-// SeekAllLE positions like SeekLE but materializes every shard cursor
-// eagerly, like SeekAll.
-func (m *Iter[V]) SeekAllLE(from uint64) bool { return m.seekEager(from, -1) }
-
-func (m *Iter[V]) seekEager(from uint64, dir int8) bool {
-	m.refresh()
-	m.dir, m.dead, m.from = dir, false, from
-	if dir > 0 && !m.t.inUniverse(from) {
-		m.dead = true
-		return false
-	}
-	bs := m.tab.buckets
-	live := 0
-	for i := range m.st {
-		m.st[i].ok, m.st[i].pend = false, false
-		if i >= len(bs) {
-			continue
-		}
-		if dir > 0 && bs[i].hi < from || dir < 0 && bs[i].lo > from {
-			continue
-		}
-		m.st[i].pend = true // marks "needs seeding" within this call
-		live++
-	}
-	if m.c == nil && live >= parallelSeedMin {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > live {
-			workers = live
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Strided partition: goroutines touch disjoint slots.
-				for i := w; i < len(bs); i += workers {
-					if m.st[i].pend {
-						m.seedOne(i, dir, from)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for i := range bs {
-			if m.st[i].pend {
-				m.seedOne(i, dir, from)
-			}
-		}
-	}
-	m.cur = m.rebuild(1)
-	m.computeThr()
-	m.thrStale = false
-	return m.Valid()
-}
-
-// seedOne materializes slot i's cursor against the seek bound and
-// publishes its tournament key. Distinct slots may be seeded from
-// distinct goroutines.
-func (m *Iter[V]) seedOne(i int, dir int8, from uint64) {
-	var ok bool
-	if dir > 0 {
-		ok = m.subs[i].Seek(from)
-	} else {
-		ok = m.subs[i].SeekLE(from)
-	}
-	m.st[i].ok, m.st[i].pend = ok, false
-	if ok {
-		m.st[i].key = m.subs[i].Key()
-	}
-}
-
-// Next advances to the next larger key, reporting whether one exists:
-// one step of the winning shard's cursor plus an O(log k) tree replay.
+// Next advances to the next larger key, reporting whether one exists.
 // On a fresh cursor Next is First; on a descending cursor it reverses
 // direction by re-seeking strictly above the current key.
 func (m *Iter[V]) Next() bool {
@@ -307,9 +127,7 @@ func (m *Iter[V]) Next() bool {
 		}
 		return m.Seek(k + 1)
 	}
-	m.step(m.cur)
-	m.settle()
-	return m.Valid()
+	return m.sub.Next() || m.walk(m.bi+1, 0)
 }
 
 // Prev retreats to the next smaller key, reporting whether one exists.
@@ -329,143 +147,5 @@ func (m *Iter[V]) Prev() bool {
 		}
 		return m.SeekLE(k - 1)
 	}
-	m.step(m.cur)
-	m.settle()
-	return m.Valid()
-}
-
-// step advances slot w's (materialized) cursor one key in the current
-// direction and refreshes its cached tournament key. While the new key
-// stays strictly on the scan side of the challenger threshold the
-// tournament cannot have changed and the replay is skipped; otherwise
-// (threshold reached, or the cursor exhausted) the tree replays. The
-// caller (Next/Prev) always follows with settle, which recomputes the
-// threshold whenever the tree was touched.
-func (m *Iter[V]) step(w int) {
-	var alive bool
-	if m.dir > 0 {
-		alive = m.subs[w].Next()
-	} else {
-		alive = m.subs[w].Prev()
-	}
-	m.st[w].ok = alive
-	if alive {
-		k := m.subs[w].Key()
-		m.st[w].key = k
-		if !m.hasThr || (m.dir > 0 && k < m.thr) || (m.dir < 0 && k > m.thr) {
-			return
-		}
-	}
-	m.replay(w)
-}
-
-// settle materializes pending winners until the tournament is won by a
-// real key (or every slot is exhausted): the winning pending slot's
-// cursor is seeked against the scan bound, its cached key switches
-// from the optimistic bound to the real position, and the tournament
-// replays. The bound is extremal for its shard, so materializing only
-// moves the leaf's key in scan direction — order is preserved.
-func (m *Iter[V]) settle() {
-	for m.st[m.cur].ok && m.st[m.cur].pend {
-		w := m.cur
-		m.st[w].pend = false
-		var alive bool
-		if m.dir > 0 {
-			alive = m.subs[w].Seek(m.from)
-		} else {
-			alive = m.subs[w].SeekLE(m.from)
-		}
-		m.st[w].ok = alive
-		if alive {
-			m.st[w].key = m.subs[w].Key()
-		}
-		m.replay(w)
-	}
-	if m.thrStale {
-		m.computeThr()
-		m.thrStale = false
-	}
-}
-
-// computeThr walks the current winner's leaf-to-root path and caches
-// the best live challenger key (pending bounds included — the winner
-// crossing a pending bound must trigger a replay so the shard behind
-// it materializes). Every positioning path ends in settle, which
-// refreshes the cache iff a replay or rebuild moved the tree — a step
-// that took the fast path leaves both the tree and the threshold
-// untouched, so sequential runs really do cost one comparison per
-// step.
-func (m *Iter[V]) computeThr() {
-	k := len(m.st)
-	m.hasThr = false
-	for i := (m.cur + k) / 2; i >= 1; i /= 2 {
-		l := int(m.st[i].loser)
-		if !m.st[l].ok {
-			continue
-		}
-		lk := m.st[l].key
-		if !m.hasThr || (m.dir > 0 && lk < m.thr) || (m.dir < 0 && lk > m.thr) {
-			m.thr, m.hasThr = lk, true
-		}
-	}
-}
-
-// beats reports whether slot a wins over slot b in the current
-// direction: a live slot beats an exhausted one; between two live
-// slots the smaller key wins ascending, the larger descending; ties
-// (possible only between a pending bound and a real key, since shards
-// are disjoint) break toward the lower slot ascending and the higher
-// slot descending, keeping the winner in scan order.
-func (m *Iter[V]) beats(a, b int) bool {
-	sa, sb := &m.st[a], &m.st[b]
-	if !sa.ok || !sb.ok {
-		if sa.ok != sb.ok {
-			return sa.ok
-		}
-		return a < b
-	}
-	if sa.key != sb.key {
-		if m.dir < 0 {
-			return sa.key > sb.key
-		}
-		return sa.key < sb.key
-	}
-	if m.dir < 0 {
-		return a > b
-	}
-	return a < b
-}
-
-// rebuild plays the whole tournament below internal node i, storing
-// each match's loser at the node and returning its winner. Called with
-// i = 1 after a seek; leaves (i >= k) stand for shard slots.
-func (m *Iter[V]) rebuild(i int) int {
-	k := len(m.st)
-	if i >= k {
-		return i - k
-	}
-	lw := m.rebuild(2 * i)
-	rw := m.rebuild(2*i + 1)
-	if m.beats(lw, rw) {
-		m.st[i].loser = int32(rw)
-		return lw
-	}
-	m.st[i].loser = int32(lw)
-	return rw
-}
-
-// replay re-runs the tournament after slot w's key changed: walking
-// leaf-to-root, the rising candidate plays only the stored loser at
-// each level — one comparison per level, the loser-tree advantage over
-// a winner tree's two.
-func (m *Iter[V]) replay(w int) {
-	k := len(m.st)
-	for i := (w + k) / 2; i >= 1; i /= 2 {
-		if l := int(m.st[i].loser); m.beats(l, w) {
-			m.st[i].loser = int32(w)
-			w = l
-		}
-	}
-	m.cur = w
-	m.thrStale = true
+	return m.sub.Prev() || m.walk(m.bi-1, ^uint64(0))
 }

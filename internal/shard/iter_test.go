@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestMergeIterAcrossShards(t *testing.T) {
 	// the middle of the merge.
 	keys := []uint64{0x0001, 0x0ABC, 0x4001, 0x5FFF, 0xA000, 0xBFFF, 0xE000, 0xFFFF}
 	tr := iterTrie(t, keys)
-	it := tr.NewIter(nil)
+	it := tr.MakeIter(nil)
 
 	var fwd []uint64
 	for ok := it.First(); ok; ok = it.Next() {
@@ -55,7 +56,7 @@ func TestMergeIterSeekBoundaries(t *testing.T) {
 	// Exact shard-boundary keys: each shard owns 0x2000 keys.
 	keys := []uint64{0x1FFF, 0x2000, 0x3FFF, 0x4000, 0xDFFF, 0xE000}
 	tr := iterTrie(t, keys)
-	it := tr.NewIter(nil)
+	it := tr.MakeIter(nil)
 	for _, tc := range []struct {
 		seek uint64
 		want uint64
@@ -98,7 +99,7 @@ func TestMergeIterSeekBoundaries(t *testing.T) {
 func TestMergeIterDirectionReversal(t *testing.T) {
 	keys := []uint64{0x1FFF, 0x2000, 0x8000, 0xE000}
 	tr := iterTrie(t, keys)
-	it := tr.NewIter(nil)
+	it := tr.MakeIter(nil)
 	// Ascend across the first shard boundary, reverse back over it,
 	// run off the bottom, re-seek, and reverse again near the top.
 	if !it.Seek(0) || it.Key() != 0x1FFF {
@@ -139,7 +140,7 @@ func TestMergeIterDirectionReversal(t *testing.T) {
 
 func TestMergeIterEmpty(t *testing.T) {
 	tr := New[uint64](Config{Width: 16, Shards: 8, Seed: 3})
-	it := tr.NewIter(nil)
+	it := tr.MakeIter(nil)
 	if it.First() || it.Last() || it.Next() || it.Prev() || it.Valid() {
 		t.Fatal("cursor over an empty trie claims a key")
 	}
@@ -148,8 +149,10 @@ func TestMergeIterEmpty(t *testing.T) {
 	}
 }
 
-// TestMergeIterVsPerShard cross-checks the merge against concatenating
-// each shard's own cursor output, on a random quiesced population.
+// TestMergeIterVsPerShard cross-checks the cursor against
+// concatenating each shard's own cursor output, on a random quiesced
+// population: full traversals plus Seek/SeekLE traversals from five
+// start points, in both directions.
 func TestMergeIterVsPerShard(t *testing.T) {
 	tr := New[uint64](Config{Width: 16, Shards: 16, Seed: 9})
 	rng := rand.New(rand.NewSource(31))
@@ -159,71 +162,43 @@ func TestMergeIterVsPerShard(t *testing.T) {
 			tr.Delete(uint64(rng.Intn(1<<16)), nil)
 		}
 	}
-	var want []uint64
+	var all []uint64
 	for _, b := range tr.tab.Load().buckets {
-		b.trie.Range(0, func(k uint64, _ uint64) bool { want = append(want, k); return true }, nil)
+		b.trie.Range(0, func(k uint64, _ uint64) bool { all = append(all, k); return true }, nil)
 	}
-	var got []uint64
-	it := tr.NewIter(nil)
-	for ok := it.First(); ok; ok = it.Next() {
-		got = append(got, it.Key())
-	}
-	if len(got) != len(want) {
-		t.Fatalf("merge yielded %d keys, per-shard %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("divergence at %d: merge %#x, per-shard %#x", i, got[i], want[i])
+	check := func(name string, want []uint64, seek func(*Iter[uint64]) bool, step func(*Iter[uint64]) bool) {
+		t.Helper()
+		var got []uint64
+		it := tr.MakeIter(nil)
+		for ok := seek(&it); ok; ok = step(&it) {
+			got = append(got, it.Key())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: cursor yielded %d keys, per-shard %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: divergence at %d: cursor %#x, per-shard %#x", name, i, got[i], want[i])
+			}
 		}
 	}
-}
-
-// TestSeekAllMatchesSeek pins eager (parallel-seeded) positioning to
-// the lazy path's output: both full traversals and mid-universe seeks
-// must agree in both directions. 16 shards crosses the
-// parallelSeedMin gate, so with nil stats this exercises the
-// goroutine-fanned seeding.
-func TestSeekAllMatchesSeek(t *testing.T) {
-	tr := New[uint64](Config{Width: 16, Shards: 16, Seed: 21})
-	rng := rand.New(rand.NewSource(77))
-	for i := 0; i < 4000; i++ {
-		tr.Insert(uint64(rng.Intn(1<<16)), uint64(i), nil)
-	}
-	collect := func(seek func(*Iter[uint64]) bool, step func(*Iter[uint64]) bool) []uint64 {
-		var out []uint64
-		it := tr.NewIter(nil)
-		for ok := seek(it); ok; ok = step(it) {
-			out = append(out, it.Key())
-		}
-		return out
-	}
+	check("First/Next", all, (*Iter[uint64]).First, (*Iter[uint64]).Next)
 	for _, from := range []uint64{0, 1, 0x7FFF, 0x8000, 0xFFFF} {
-		lazyUp := collect(func(it *Iter[uint64]) bool { return it.Seek(from) }, (*Iter[uint64]).Next)
-		eagerUp := collect(func(it *Iter[uint64]) bool { return it.SeekAll(from) }, (*Iter[uint64]).Next)
-		if len(lazyUp) != len(eagerUp) {
-			t.Fatalf("from %#x: SeekAll yielded %d keys, Seek %d", from, len(eagerUp), len(lazyUp))
-		}
-		for i := range lazyUp {
-			if lazyUp[i] != eagerUp[i] {
-				t.Fatalf("from %#x: divergence at %d: SeekAll %#x, Seek %#x", from, i, eagerUp[i], lazyUp[i])
+		var up, down []uint64
+		for _, k := range all {
+			if k >= from {
+				up = append(up, k)
 			}
 		}
-		lazyDown := collect(func(it *Iter[uint64]) bool { return it.SeekLE(from) }, (*Iter[uint64]).Prev)
-		eagerDown := collect(func(it *Iter[uint64]) bool { return it.SeekAllLE(from) }, (*Iter[uint64]).Prev)
-		if len(lazyDown) != len(eagerDown) {
-			t.Fatalf("from %#x: SeekAllLE yielded %d keys, SeekLE %d", from, len(eagerDown), len(lazyDown))
-		}
-		for i := range lazyDown {
-			if lazyDown[i] != eagerDown[i] {
-				t.Fatalf("from %#x: divergence at %d: SeekAllLE %#x, SeekLE %#x", from, i, eagerDown[i], lazyDown[i])
+		for i := len(all) - 1; i >= 0; i-- {
+			if all[i] <= from {
+				down = append(down, all[i])
 			}
 		}
-	}
-	// Direction changes after an eager seek reuse the normal stepping
-	// paths.
-	it := tr.NewIter(nil)
-	if !it.SeekAll(0x4000) || !it.Next() || !it.Prev() || !it.Prev() {
-		t.Fatal("eager cursor cannot reverse")
+		check(fmt.Sprintf("Seek(%#x)/Next", from), up,
+			func(it *Iter[uint64]) bool { return it.Seek(from) }, (*Iter[uint64]).Next)
+		check(fmt.Sprintf("SeekLE(%#x)/Prev", from), down,
+			func(it *Iter[uint64]) bool { return it.SeekLE(from) }, (*Iter[uint64]).Prev)
 	}
 }
 
@@ -236,7 +211,7 @@ func TestIterReseedsAcrossReshard(t *testing.T) {
 	for k := uint64(0); k < 1<<16; k += 256 {
 		tr.Store(k, k, nil)
 	}
-	it := tr.NewIter(nil)
+	it := tr.MakeIter(nil)
 	if !it.First() {
 		t.Fatal("First on populated trie failed")
 	}

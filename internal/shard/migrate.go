@@ -43,9 +43,12 @@ import (
 // which equal the destinations' contents at publication — so it
 // linearizes immediately before the swap, which is inside the read's
 // invocation window because it loaded the table before the swap.
-// Cross-shard scans hold one table snapshot and inherit the ordered
-// queries' weak-consistency window; the k-way merge stays correct even
-// mid-swap because it never assumes shard ranges are disjoint.
+// Cross-shard scans hold one table and inherit the ordered queries'
+// weak-consistency window. Every table's buckets tile the universe in
+// key order, and each bucket's trie rejects keys outside its range, so
+// a scan concatenates the buckets of whichever table it holds: a bucket
+// retired mid-scan still yields exactly its own range, frozen, and the
+// replacement buckets on the newer table are never visited alongside it.
 
 // MoveStats reports one Split or Merge.
 type MoveStats struct {

@@ -263,7 +263,7 @@ func TestSplitMergeUnderLoad(t *testing.T) {
 
 // TestTortureReshardBoundaryChurn is the PR 2 boundary-churn pattern
 // during continuous forced splits and merges: writers churn keys at the
-// deepest possible shard boundaries while readers run the k-way merge
+// deepest possible shard boundaries while readers run the concatenating
 // cursor across them in both directions and point readers probe the
 // same keys. Checks strict scan monotonicity, value integrity, and that
 // the partition is valid after the storm. Run under -race in CI in both
@@ -313,7 +313,7 @@ func TestTortureReshardBoundaryChurn(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			it := tr.NewIter(nil)
+			it := tr.MakeIter(nil)
 			for i := 0; i < iters/20; i++ {
 				last, first := uint64(0), true
 				for ok := it.Seek(0); ok; ok = it.Next() {

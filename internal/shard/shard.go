@@ -2,8 +2,9 @@
 // into independent core.SkipTrie sub-universes. Point operations route
 // to their home shard in O(1) through an atomically-published immutable
 // routing trie (a prefix→shard directory, see table.go); ordered
-// operations (predecessor, successor, min/max, iteration) answer from
-// the home shard and stitch across shard boundaries.
+// operations (predecessor, successor, min/max) answer from the home
+// shard and stitch across shard boundaries, and iteration concatenates
+// the shards in key order (see Iter).
 //
 // Each shard is a full SkipTrie over an aligned sub-universe
 // [lo, lo+2^(W-b)) configured via core.Config.Base, so every shard
@@ -449,10 +450,9 @@ func (t *Trie[V]) Max(c *stats.Op) (uint64, V, bool) {
 }
 
 // Range calls fn for keys >= from in ascending order until fn returns
-// false, running the k-way merge iterator over all shards (see Iter):
-// one seeding pass positions every shard's cursor, then each step
-// advances the winning cursor. Iteration is weakly consistent, per
-// shard, exactly as in core.SkipTrie.Range.
+// false, walking the shards in key order with the concatenating cursor
+// (see Iter). Iteration is weakly consistent, per shard, exactly as in
+// core.SkipTrie.Range.
 func (t *Trie[V]) Range(from uint64, fn func(key uint64, val V) bool, c *stats.Op) {
 	it := t.MakeIter(c)
 	for ok := it.Seek(from); ok; ok = it.Next() {
@@ -463,8 +463,7 @@ func (t *Trie[V]) Range(from uint64, fn func(key uint64, val V) bool, c *stats.O
 }
 
 // Descend calls fn for keys <= from in descending order until fn
-// returns false, running the k-way merge iterator in reverse; each
-// shard clamps from to its own maximum.
+// returns false, walking the shards in reverse key order.
 func (t *Trie[V]) Descend(from uint64, fn func(key uint64, val V) bool, c *stats.Op) {
 	it := t.MakeIter(c)
 	for ok := it.SeekLE(from); ok; ok = it.Prev() {

@@ -3,7 +3,6 @@ package shard
 import (
 	"sync/atomic"
 
-	"skiptrie/internal/core"
 	"skiptrie/internal/stats"
 )
 
@@ -78,151 +77,9 @@ func (sn *Snap[V]) Close() bool {
 	return true
 }
 
-// NewIter returns an unpositioned cursor over the snapshot.
-func (sn *Snap[V]) NewIter(c *stats.Op) *SnapIter[V] {
-	return &SnapIter[V]{sn: sn, c: c}
-}
-
-// MakeIter returns an unpositioned snapshot cursor by value.
-func (sn *Snap[V]) MakeIter(c *stats.Op) SnapIter[V] {
-	return SnapIter[V]{sn: sn, c: c}
-}
-
-// SnapIter is a pull-based cursor over a Snap. The pinned buckets tile
-// the universe in key order and each sub-cursor's view is frozen, so
-// the merge degenerates to concatenation: no tournament is needed, one
-// bucket's cursor is live at a time, and bucket switches re-seed the
-// next bucket at its range edge. Unlike the live Iter it never
-// re-seeds onto a newer routing table — the snapshot's table is the
-// view. Not safe for concurrent use; create one per scanner.
-type SnapIter[V any] struct {
-	sn   *Snap[V]
-	c    *stats.Op
-	bi   int          // index of the bucket sub is positioned in
-	sub  core.Iter[V] // snapshot cursor over bucket bi
-	dir  int8         // +1 ascending, -1 descending, 0 unpositioned
-	dead bool
-}
-
-// Valid reports whether the cursor rests on a key.
-func (m *SnapIter[V]) Valid() bool { return m.dir != 0 && !m.dead && m.sub.Valid() }
-
-// Key returns the key under the cursor. Only meaningful when Valid.
-func (m *SnapIter[V]) Key() uint64 { return m.sub.Key() }
-
-// Value returns the value under the cursor — the one current at its
-// shard's pin. Only meaningful when Valid.
-func (m *SnapIter[V]) Value() V { return m.sub.Value() }
-
-// enter positions m.sub on bucket i's snapshot view, seeking in the
-// given direction from `from` (clamped by core.Iter to the bucket's
-// sub-universe), and reports whether the bucket yields a key.
-func (m *SnapIter[V]) enter(i int, from uint64, dir int8) bool {
-	b := m.sn.tab.buckets[i]
-	m.bi = i
-	m.sub = b.trie.MakeSnapIter(m.sn.pins[i], m.c)
-	if dir > 0 {
-		return m.sub.Seek(from)
-	}
-	return m.sub.SeekLE(from)
-}
-
-// Seek positions the cursor on the smallest key >= from across the
-// snapshot, reporting whether such a key exists.
-func (m *SnapIter[V]) Seek(from uint64) bool {
-	m.dir, m.dead = +1, false
-	if !m.sn.t.inUniverse(from) {
-		m.dead = true
-		return false
-	}
-	_, i := m.sn.tab.routeIdx(from)
-	for ; i < len(m.sn.tab.buckets); i++ {
-		if m.enter(i, from, +1) {
-			return true
-		}
-	}
-	m.dead = true
-	return false
-}
-
-// SeekLE positions the cursor on the largest key <= from across the
-// snapshot, reporting whether such a key exists. A from above the
-// universe clamps to its maximum.
-func (m *SnapIter[V]) SeekLE(from uint64) bool {
-	m.dir, m.dead = -1, false
-	if max := m.sn.t.MaxKey(); from > max {
-		from = max
-	}
-	_, i := m.sn.tab.routeIdx(from)
-	for ; i >= 0; i-- {
-		if m.enter(i, from, -1) {
-			return true
-		}
-	}
-	m.dead = true
-	return false
-}
-
-// First positions the cursor on the smallest key.
-func (m *SnapIter[V]) First() bool { return m.Seek(0) }
-
-// Last positions the cursor on the largest key.
-func (m *SnapIter[V]) Last() bool { return m.SeekLE(m.sn.t.MaxKey()) }
-
-// Next advances to the next larger key, reporting whether one exists.
-// On a fresh cursor Next is First; on a descending cursor it reverses
-// direction by re-seeking strictly above the current key.
-func (m *SnapIter[V]) Next() bool {
-	switch {
-	case m.dir == 0:
-		return m.First()
-	case !m.Valid():
-		return false
-	case m.dir < 0:
-		k := m.Key()
-		if k >= m.sn.t.MaxKey() {
-			m.dead = true
-			return false
-		}
-		return m.Seek(k + 1)
-	}
-	if m.sub.Next() {
-		return true
-	}
-	for i := m.bi + 1; i < len(m.sn.tab.buckets); i++ {
-		if m.enter(i, m.sn.tab.buckets[i].lo, +1) {
-			return true
-		}
-	}
-	m.dead = true
-	return false
-}
-
-// Prev retreats to the next smaller key, reporting whether one exists.
-// On a fresh cursor Prev is Last; on an ascending cursor it reverses
-// direction by re-seeking strictly below the current key.
-func (m *SnapIter[V]) Prev() bool {
-	switch {
-	case m.dir == 0:
-		return m.Last()
-	case !m.Valid():
-		return false
-	case m.dir > 0:
-		k := m.Key()
-		if k == 0 {
-			m.dead = true
-			return false
-		}
-		return m.SeekLE(k - 1)
-	}
-	if m.sub.Prev() {
-		return true
-	}
-	for i := m.bi - 1; i >= 0; i-- {
-		if m.enter(i, m.sn.tab.buckets[i].hi, -1) {
-			return true
-		}
-	}
-	m.dead = true
-	return false
+// MakeIter returns an unpositioned cursor over the snapshot: the
+// shared concatenating cursor (see Iter), walking the snapshot's table
+// and pinned epochs instead of the live partition.
+func (sn *Snap[V]) MakeIter(c *stats.Op) Iter[V] {
+	return Iter[V]{t: sn.t, tab: sn.tab, pins: sn.pins, c: c}
 }

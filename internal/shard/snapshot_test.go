@@ -7,7 +7,7 @@ import (
 )
 
 func snapAll(sn *Snap[uint64]) (keys, vals []uint64) {
-	it := sn.NewIter(nil)
+	it := sn.MakeIter(nil)
 	for ok := it.First(); ok; ok = it.Next() {
 		keys = append(keys, it.Key())
 		vals = append(vals, it.Value())

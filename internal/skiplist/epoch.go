@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements the list's epoch clock and snapshot-pin registry:
-// the substrate of consistent point-in-time reads (core.Snap, shard.Snap
-// and the public Snapshot handle).
+// the substrate of consistent point-in-time reads (shard.Snap and the
+// public Snapshot handle).
 //
 // # Epochs
 //

@@ -3,30 +3,7 @@ package skiptrie
 import (
 	"iter"
 
-	"skiptrie/internal/core"
 	"skiptrie/internal/shard"
-)
-
-// cursor is the navigation surface the Map and Sharded iterators share:
-// core.Iter implements it over one trie, shard.Iter over the k-way
-// merge of all shards. Range, Descend and Keys run on the same two
-// implementations, so there is exactly one traversal code path per
-// backend.
-type cursor[V any] interface {
-	Seek(from uint64) bool
-	SeekLE(from uint64) bool
-	First() bool
-	Last() bool
-	Next() bool
-	Prev() bool
-	Key() uint64
-	Value() V
-	Valid() bool
-}
-
-var (
-	_ cursor[int] = (*core.Iter[int])(nil)
-	_ cursor[int] = (*shard.Iter[int])(nil)
 )
 
 // Iter is a pull-based cursor over a Map, Sharded or SkipTrie, for
@@ -52,88 +29,68 @@ var (
 // ordered queries already have). A cursor must not be shared between
 // goroutines; create one per scanner.
 type Iter[V any] struct {
-	c cursor[V]
+	it shard.Iter[V]
 }
 
-// Iter returns a new unpositioned cursor over the map.
-func (m *Map[V]) Iter() *Iter[V] { return &Iter[V]{c: m.c.NewIter(nil)} }
-
-// Iter returns a new unpositioned cursor over the sharded map: a
-// loser-tree k-way merge over all shards' cursors, seeded in one pass
-// per seek (see the package documentation for the consistency window).
-func (s *Sharded[V]) Iter() *Iter[V] { return &Iter[V]{c: s.t.NewIter(nil)} }
+// Iter returns a new unpositioned cursor over the map. On a Sharded it
+// walks the shards in key order, one shard's cursor at a time (see the
+// package documentation for the consistency window).
+func (e *engine[V]) Iter() *Iter[V] { return &Iter[V]{it: e.t.MakeIter(nil)} }
 
 // Iter returns a new unpositioned cursor over the set. Value reads
 // yield struct{}; use Key.
-func (s *SkipTrie) Iter() *Iter[struct{}] { return &Iter[struct{}]{c: s.c.NewIter(nil)} }
+func (s *SkipTrie) Iter() *Iter[struct{}] { return s.e.Iter() }
 
 // Seek positions the cursor on the smallest key >= from, reporting
 // whether such a key exists.
-func (it *Iter[V]) Seek(from uint64) bool { return it.c.Seek(from) }
+func (it *Iter[V]) Seek(from uint64) bool { return it.it.Seek(from) }
 
 // SeekLE positions the cursor on the largest key <= from, reporting
 // whether such a key exists.
-func (it *Iter[V]) SeekLE(from uint64) bool { return it.c.SeekLE(from) }
+func (it *Iter[V]) SeekLE(from uint64) bool { return it.it.SeekLE(from) }
 
 // First positions the cursor on the smallest key.
-func (it *Iter[V]) First() bool { return it.c.First() }
+func (it *Iter[V]) First() bool { return it.it.First() }
 
 // Last positions the cursor on the largest key.
-func (it *Iter[V]) Last() bool { return it.c.Last() }
+func (it *Iter[V]) Last() bool { return it.it.Last() }
 
 // Next advances to the next larger key (First on a fresh cursor),
 // reporting whether one exists. Forward steps are O(1) pointer hops
 // within a shard.
-func (it *Iter[V]) Next() bool { return it.c.Next() }
+func (it *Iter[V]) Next() bool { return it.it.Next() }
 
 // Prev retreats to the next smaller key (Last on a fresh cursor),
 // reporting whether one exists. Each backward step is one
 // trie-accelerated strict-predecessor descent (O(log log u)), since
 // the bottom lists are singly linked.
-func (it *Iter[V]) Prev() bool { return it.c.Prev() }
+func (it *Iter[V]) Prev() bool { return it.it.Prev() }
 
 // Key returns the key under the cursor. Only meaningful when Valid.
-func (it *Iter[V]) Key() uint64 { return it.c.Key() }
+func (it *Iter[V]) Key() uint64 { return it.it.Key() }
 
 // Value returns the value under the cursor. Only meaningful when Valid.
-func (it *Iter[V]) Value() V { return it.c.Value() }
+func (it *Iter[V]) Value() V { return it.it.Value() }
 
 // Valid reports whether the cursor rests on a key.
-func (it *Iter[V]) Valid() bool { return it.c.Valid() }
+func (it *Iter[V]) Valid() bool { return it.it.Valid() }
 
 // --- iter.Seq adapters: range-over-func forms of the same traversal ---
 
 // All returns an iterator over all key/value pairs in ascending order,
 // for use with a for-range statement. Equivalent to Ascend(0).
-func (m *Map[V]) All() iter.Seq2[uint64, V] { return m.Ascend(0) }
+func (e *engine[V]) All() iter.Seq2[uint64, V] { return e.Ascend(0) }
 
 // Ascend returns an iterator over key/value pairs with key >= from in
 // ascending order. Iteration is weakly consistent, like Range.
-func (m *Map[V]) Ascend(from uint64) iter.Seq2[uint64, V] {
-	return func(yield func(uint64, V) bool) { m.Range(from, yield) }
+func (e *engine[V]) Ascend(from uint64) iter.Seq2[uint64, V] {
+	return func(yield func(uint64, V) bool) { e.Range(from, yield) }
 }
 
 // Backward returns an iterator over key/value pairs with key <= from in
 // descending order. Each step costs one strict-predecessor query.
-func (m *Map[V]) Backward(from uint64) iter.Seq2[uint64, V] {
-	return func(yield func(uint64, V) bool) { m.Descend(from, yield) }
-}
-
-// All returns an iterator over all key/value pairs in ascending order
-// across all shards, merged. Equivalent to Ascend(0).
-func (s *Sharded[V]) All() iter.Seq2[uint64, V] { return s.Ascend(0) }
-
-// Ascend returns an iterator over key/value pairs with key >= from in
-// ascending order across all shards, merged. Weakly consistent per
-// shard, like Range.
-func (s *Sharded[V]) Ascend(from uint64) iter.Seq2[uint64, V] {
-	return func(yield func(uint64, V) bool) { s.Range(from, yield) }
-}
-
-// Backward returns an iterator over key/value pairs with key <= from in
-// descending order across all shards, merged.
-func (s *Sharded[V]) Backward(from uint64) iter.Seq2[uint64, V] {
-	return func(yield func(uint64, V) bool) { s.Descend(from, yield) }
+func (e *engine[V]) Backward(from uint64) iter.Seq2[uint64, V] {
+	return func(yield func(uint64, V) bool) { e.Descend(from, yield) }
 }
 
 // All returns an iterator over all keys in ascending order. Equivalent

@@ -9,10 +9,10 @@ import (
 // and a Sharded map, and then — on the quiesced structures — checks
 // that the pull-based iterator yields exactly the Range callback
 // sequence forward and exactly the Descend sequence backward, from
-// every origin. Range and Iter share one traversal code path per
-// backend, so a divergence means the cursor's positioning/stepping
-// state machine (seeks, direction switches, loser-tree replay)
-// disagrees with the plain loop — precisely the code this PR adds.
+// every origin. Range and Iter share one traversal code path, so a
+// divergence means the cursor's positioning/stepping state machine
+// (seeks, direction switches, shard-edge crossings) disagrees with the
+// plain loop.
 //
 // Run with `go test -fuzz=FuzzIterVsRange` for continuous fuzzing; the
 // seed corpus runs in normal test mode (and in CI's fuzz smoke stage).

@@ -1,16 +1,16 @@
 package skiptrie
 
-import (
-	"skiptrie/internal/core"
-	"skiptrie/internal/stats"
-)
-
 // Map is a concurrent ordered map from uint64 keys to values of type V,
 // built on the same SkipTrie structure as the set API and adding
 // predecessor/successor queries over keys. Values are stored unboxed
 // inline in the structure's level-0 nodes: no interface conversion or
 // other per-operation allocation happens on the Store-existing-key or
 // Load paths. Create one with NewMap; the zero value is not usable.
+//
+// Map, Sharded and SkipTrie are faces of one engine, a sharded trie; a
+// Map is that engine fixed at one shard. A one-shard trie never
+// reshards, so the shard latch a write takes is only ever taken in
+// shared mode, and Map writes never wait on it.
 //
 // All structural operations (key membership, ordering, iteration) are
 // lock-free, exactly as in the set API. Reading or overwriting the value
@@ -20,9 +20,7 @@ import (
 // This is the price of keeping values unboxed; use the set API if you
 // need the pure lock-free guarantee.
 type Map[V any] struct {
-	c *core.SkipTrie[V]
-	m *Metrics
-	h *TraceHooks
+	engine[V]
 }
 
 // NewMap returns an empty ordered map. It accepts any MapOption (the
@@ -34,19 +32,7 @@ func NewMap[V any](opts ...MapOption) (*Map[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	c := core.New[V](core.Config{
-		Width:       o.width,
-		DisableDCSS: o.disableDCSS,
-		Repair:      o.repair,
-		Seed:        o.seed,
-		Trace:       o.hooks.internalTrace(),
-	})
-	attachGauges(o.metrics, c, func(c *core.SkipTrie[V]) gaugeSample {
-		live, retained, segs, oldest := c.PinStats()
-		return gaugeSample{livePins: live, oldestPinAge: oldest,
-			retainedNodes: retained, journalSegments: segs}
-	})
-	return &Map[V]{c: c, m: o.metrics, h: o.hooks}, nil
+	return &Map[V]{newEngine[V](o, 1, 1)}, nil
 }
 
 // MustNewMap is NewMap, panicking on error — for static configurations
@@ -58,123 +44,3 @@ func MustNewMap[V any](opts ...MapOption) *Map[V] {
 	}
 	return m
 }
-
-func (m *Map[V]) op() *stats.Op {
-	if m.m == nil {
-		return nil
-	}
-	return new(stats.Op)
-}
-
-// Store sets the value for key, inserting it if absent. Overwriting an
-// existing key's value happens in place, without allocation. Keys outside
-// the universe [0, 2^W) are rejected: nothing is stored.
-func (m *Map[V]) Store(key uint64, val V) {
-	t := m.m.latStart()
-	c := m.op()
-	m.c.Store(key, val, c)
-	m.m.record(OpInsert, c)
-	m.m.recordLatency(OpInsert, t)
-}
-
-// Load returns the value stored under key.
-func (m *Map[V]) Load(key uint64) (V, bool) {
-	t := m.m.latStart()
-	c := m.op()
-	v, ok := m.c.Find(key, c)
-	m.m.record(OpContains, c)
-	m.m.recordLatency(OpContains, t)
-	return v, ok
-}
-
-// LoadOrStore returns the existing value for key if present; otherwise it
-// stores val. The loaded result reports whether the value was loaded. Keys
-// outside the universe [0, 2^W) are rejected: nothing is stored and the
-// result is (val, false) even though no later Load will find it.
-func (m *Map[V]) LoadOrStore(key uint64, val V) (actual V, loaded bool) {
-	t := m.m.latStart()
-	c := m.op()
-	actual, loaded = m.c.LoadOrStore(key, val, c)
-	m.m.record(OpInsert, c)
-	m.m.recordLatency(OpInsert, t)
-	return actual, loaded
-}
-
-// Delete removes key and reports whether this call removed it.
-func (m *Map[V]) Delete(key uint64) bool {
-	t := m.m.latStart()
-	c := m.op()
-	ok := m.c.Delete(key, c)
-	m.m.record(OpDelete, c)
-	m.m.recordLatency(OpDelete, t)
-	return ok
-}
-
-// Predecessor returns the largest key <= x and its value.
-func (m *Map[V]) Predecessor(x uint64) (uint64, V, bool) {
-	t := m.m.latStart()
-	c := m.op()
-	k, v, ok := m.c.Predecessor(x, c)
-	m.m.record(OpPredecessor, c)
-	m.m.recordLatency(OpPredecessor, t)
-	return k, v, ok
-}
-
-// Successor returns the smallest key >= x and its value.
-func (m *Map[V]) Successor(x uint64) (uint64, V, bool) {
-	t := m.m.latStart()
-	c := m.op()
-	k, v, ok := m.c.Successor(x, c)
-	m.m.record(OpSuccessor, c)
-	m.m.recordLatency(OpSuccessor, t)
-	return k, v, ok
-}
-
-// StrictPredecessor returns the largest key < x and its value.
-func (m *Map[V]) StrictPredecessor(x uint64) (uint64, V, bool) {
-	t := m.m.latStart()
-	c := m.op()
-	k, v, ok := m.c.StrictPredecessor(x, c)
-	m.m.record(OpPredecessor, c)
-	m.m.recordLatency(OpPredecessor, t)
-	return k, v, ok
-}
-
-// StrictSuccessor returns the smallest key > x and its value.
-func (m *Map[V]) StrictSuccessor(x uint64) (uint64, V, bool) {
-	t := m.m.latStart()
-	c := m.op()
-	k, v, ok := m.c.StrictSuccessor(x, c)
-	m.m.record(OpSuccessor, c)
-	m.m.recordLatency(OpSuccessor, t)
-	return k, v, ok
-}
-
-// Min returns the smallest key and its value.
-func (m *Map[V]) Min() (uint64, V, bool) {
-	return m.c.Min(nil)
-}
-
-// Max returns the largest key and its value.
-func (m *Map[V]) Max() (uint64, V, bool) {
-	return m.c.Max(nil)
-}
-
-// Len returns the number of keys (approximate under concurrent mutation).
-func (m *Map[V]) Len() int { return m.c.Len() }
-
-// Range calls fn on each key/value with key >= from in ascending order
-// until fn returns false. Iteration is weakly consistent.
-func (m *Map[V]) Range(from uint64, fn func(key uint64, val V) bool) {
-	m.c.Range(from, fn, nil)
-}
-
-// Descend calls fn on each key/value with key <= from in descending order
-// until fn returns false. Each step costs one strict-predecessor query.
-func (m *Map[V]) Descend(from uint64, fn func(key uint64, val V) bool) {
-	m.c.Descend(from, fn, nil)
-}
-
-// Validate checks the quiescent structure's invariants (see
-// SkipTrie.Validate).
-func (m *Map[V]) Validate() error { return m.c.Validate() }

@@ -6,18 +6,18 @@ import (
 	"sync"
 
 	"skiptrie/internal/reshard"
-	"skiptrie/internal/shard"
-	"skiptrie/internal/stats"
 )
 
 // Sharded is a concurrent ordered map that partitions the key universe
-// by the top bits into independent SkipTrie shards. It offers the Map
-// API with identical sequential semantics; what changes is scaling
-// behaviour: point operations route to their home shard in O(1), so
-// updates in different shards contend on nothing — no shared skiplist
-// towers, x-fast trie nodes, hash buckets or cache lines. Ordered
-// queries answer from the home shard and stitch across shard boundaries
-// by probing neighbor shards' extrema, preserving global key order.
+// by the top bits into independent SkipTrie shards. It is the same
+// engine as Map, which is that engine fixed at one shard, so it offers
+// the Map API with identical sequential semantics; what changes is
+// scaling behaviour: point operations route to their home shard in
+// O(1), so updates in different shards contend on nothing — no shared
+// skiplist towers, x-fast trie nodes, hash buckets or cache lines.
+// Ordered queries answer from the home shard and stitch across shard
+// boundaries by probing neighbor shards' extrema, preserving global key
+// order.
 //
 // Point operations (Store, Load, LoadOrStore, Delete) and ordered
 // queries answered inside one shard keep Map's linearizability. An
@@ -32,7 +32,10 @@ import (
 // goroutines and keys spread across the universe; use Map when the
 // workload is read-mostly, fits one goroutine, or needs the absolute
 // minimum cost per ordered query (each empty shard between two keys
-// adds one extremum probe to a stitched query).
+// adds one extremum probe to a stitched query). A Sharded write takes
+// its home shard's latch in shared mode and waits only while a Split or
+// Merge hands that shard off; Map's one shard never reshards, so its
+// writes never wait.
 //
 // The partition is dynamic: Split and Merge reshape it online (keys
 // migrate between shards while readers and writers keep running), and
@@ -44,9 +47,7 @@ import (
 //
 // Create one with NewSharded; the zero value is not usable.
 type Sharded[V any] struct {
-	t         *shard.Trie[V]
-	m         *Metrics
-	h         *TraceHooks
+	engine[V]
 	bal       *reshard.Balancer
 	closeOnce sync.Once
 }
@@ -62,24 +63,7 @@ func NewSharded[V any](opts ...ShardedOption) (*Sharded[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded[V]{
-		t: shard.New[V](shard.Config{
-			Width:       o.width,
-			Shards:      o.shards,
-			MaxShards:   o.maxShards,
-			DisableDCSS: o.disableDCSS,
-			Repair:      o.repair,
-			Seed:        o.seed,
-			Trace:       o.hooks.internalTrace(),
-		}),
-		m: o.metrics,
-		h: o.hooks,
-	}
-	attachGauges(o.metrics, s.t, func(t *shard.Trie[V]) gaugeSample {
-		live, retained, segs, oldest := t.PinStats()
-		return gaugeSample{livePins: live, oldestPinAge: oldest,
-			retainedNodes: retained, journalSegments: segs}
-	})
+	s := &Sharded[V]{engine: newEngine[V](o, o.shards, o.maxShards)}
 	if o.autoReshard {
 		s.bal = reshard.New(shardedTarget[V]{s}, reshard.Policy{
 			Interval: o.reshardEvery,
@@ -176,13 +160,6 @@ func (s *Sharded[V]) Close() {
 	})
 }
 
-func (s *Sharded[V]) op() *stats.Op {
-	if s.m == nil {
-		return nil
-	}
-	return new(stats.Op)
-}
-
 // Shards returns the current shard count.
 func (s *Sharded[V]) Shards() int { return s.t.Shards() }
 
@@ -191,127 +168,13 @@ func (s *Sharded[V]) Shards() int { return s.t.Shards() }
 // the key distribution.
 func (s *Sharded[V]) ShardLens() []int { return s.t.ShardLens() }
 
-// Store sets the value for key, inserting it if absent. Keys outside
-// the universe [0, 2^W) are rejected: nothing is stored.
-func (s *Sharded[V]) Store(key uint64, val V) {
-	t := s.m.latStart()
-	c := s.op()
-	s.t.Store(key, val, c)
-	s.m.record(OpInsert, c)
-	s.m.recordLatency(OpInsert, t)
-}
-
-// Load returns the value stored under key.
-func (s *Sharded[V]) Load(key uint64) (V, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	v, ok := s.t.Find(key, c)
-	s.m.record(OpContains, c)
-	s.m.recordLatency(OpContains, t)
-	return v, ok
-}
-
-// LoadOrStore returns the existing value for key if present; otherwise
-// it stores val. The loaded result reports whether the value was
-// loaded. Keys outside the universe are rejected, as in Map.
-func (s *Sharded[V]) LoadOrStore(key uint64, val V) (actual V, loaded bool) {
-	t := s.m.latStart()
-	c := s.op()
-	actual, loaded = s.t.LoadOrStore(key, val, c)
-	s.m.record(OpInsert, c)
-	s.m.recordLatency(OpInsert, t)
-	return actual, loaded
-}
-
-// Delete removes key and reports whether this call removed it.
-func (s *Sharded[V]) Delete(key uint64) bool {
-	t := s.m.latStart()
-	c := s.op()
-	ok := s.t.Delete(key, c)
-	s.m.record(OpDelete, c)
-	s.m.recordLatency(OpDelete, t)
-	return ok
-}
-
-// Predecessor returns the largest key <= x and its value.
-func (s *Sharded[V]) Predecessor(x uint64) (uint64, V, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	k, v, ok := s.t.Predecessor(x, c)
-	s.m.record(OpPredecessor, c)
-	s.m.recordLatency(OpPredecessor, t)
-	return k, v, ok
-}
-
-// Successor returns the smallest key >= x and its value.
-func (s *Sharded[V]) Successor(x uint64) (uint64, V, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	k, v, ok := s.t.Successor(x, c)
-	s.m.record(OpSuccessor, c)
-	s.m.recordLatency(OpSuccessor, t)
-	return k, v, ok
-}
-
-// StrictPredecessor returns the largest key < x and its value.
-func (s *Sharded[V]) StrictPredecessor(x uint64) (uint64, V, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	k, v, ok := s.t.StrictPredecessor(x, c)
-	s.m.record(OpPredecessor, c)
-	s.m.recordLatency(OpPredecessor, t)
-	return k, v, ok
-}
-
-// StrictSuccessor returns the smallest key > x and its value.
-func (s *Sharded[V]) StrictSuccessor(x uint64) (uint64, V, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	k, v, ok := s.t.StrictSuccessor(x, c)
-	s.m.record(OpSuccessor, c)
-	s.m.recordLatency(OpSuccessor, t)
-	return k, v, ok
-}
-
-// Min returns the smallest key and its value.
-func (s *Sharded[V]) Min() (uint64, V, bool) {
-	return s.t.Min(nil)
-}
-
-// Max returns the largest key and its value.
-func (s *Sharded[V]) Max() (uint64, V, bool) {
-	return s.t.Max(nil)
-}
-
-// Len returns the number of keys across all shards (approximate under
-// concurrent mutation).
-func (s *Sharded[V]) Len() int { return s.t.Len() }
-
-// Range calls fn on each key/value with key >= from in ascending order
-// until fn returns false. Iteration is weakly consistent per shard.
-func (s *Sharded[V]) Range(from uint64, fn func(key uint64, val V) bool) {
-	s.t.Range(from, fn, nil)
-}
-
-// Descend calls fn on each key/value with key <= from in descending
-// order until fn returns false.
-func (s *Sharded[V]) Descend(from uint64, fn func(key uint64, val V) bool) {
-	s.t.Descend(from, fn, nil)
-}
-
 // Keys returns all keys in ascending order (a weakly consistent
-// snapshot), preallocated from Len. A full snapshot needs every
-// shard's cursor anyway, so the merge is seeded eagerly — in parallel
-// goroutines once the partition is at least 8 shards wide — rather
-// than on demand.
+// snapshot), preallocated from Len.
 func (s *Sharded[V]) Keys() []uint64 {
 	keys := make([]uint64, 0, s.Len())
 	it := s.t.MakeIter(nil)
-	for ok := it.SeekAll(0); ok; ok = it.Next() {
+	for ok := it.First(); ok; ok = it.Next() {
 		keys = append(keys, it.Key())
 	}
 	return keys
 }
-
-// Validate checks every shard's invariants at quiescence.
-func (s *Sharded[V]) Validate() error { return s.t.Validate() }

@@ -26,17 +26,16 @@
 // goroutine cannot block others. For a key-value variant see Map.
 package skiptrie
 
-import (
-	"skiptrie/internal/core"
-	"skiptrie/internal/stats"
-)
+import "skiptrie/internal/core"
 
 // SkipTrie is a concurrent lock-free sorted set of uint64 keys drawn from
 // a universe [0, 2^W). Create one with New; the zero value is not usable.
+//
+// It runs on the same one-shard engine as Map, with zero-size values. A
+// one-shard trie never reshards, so the shard latch a write takes is
+// only ever taken in shared mode, and writes never wait on it.
 type SkipTrie struct {
-	c *core.SkipTrie[struct{}]
-	m *Metrics
-	h *TraceHooks
+	e engine[struct{}]
 }
 
 // New returns an empty SkipTrie. It accepts any SetOption (the shared
@@ -48,19 +47,7 @@ func New(opts ...SetOption) (*SkipTrie, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := core.NewSet(core.Config{
-		Width:       o.width,
-		DisableDCSS: o.disableDCSS,
-		Repair:      o.repair,
-		Seed:        o.seed,
-		Trace:       o.hooks.internalTrace(),
-	})
-	attachGauges(o.metrics, c, func(c *core.SkipTrie[struct{}]) gaugeSample {
-		live, retained, segs, oldest := c.PinStats()
-		return gaugeSample{livePins: live, oldestPinAge: oldest,
-			retainedNodes: retained, journalSegments: segs}
-	})
-	return &SkipTrie{c: c, m: o.metrics, h: o.hooks}, nil
+	return &SkipTrie{e: newEngine[struct{}](o, 1, 1)}, nil
 }
 
 // MustNew is New, panicking on error — for static configurations known
@@ -73,122 +60,93 @@ func MustNew(opts ...SetOption) *SkipTrie {
 	return s
 }
 
-// op returns a fresh step counter when metrics are attached, else nil.
-func (s *SkipTrie) op() *stats.Op {
-	if s.m == nil {
-		return nil
-	}
-	return new(stats.Op)
-}
-
 // Insert adds key to the set and reports whether it was absent. Keys
 // outside the universe are rejected (returns false).
 func (s *SkipTrie) Insert(key uint64) bool {
-	t := s.m.latStart()
-	c := s.op()
-	ok := s.c.Add(key, c)
-	s.m.record(OpInsert, c)
-	s.m.recordLatency(OpInsert, t)
+	m := s.e.m
+	t := m.latStart()
+	c := m.op()
+	ok := s.e.t.Add(key, c)
+	m.record(OpInsert, c)
+	m.recordLatency(OpInsert, t)
 	return ok
 }
 
 // Delete removes key from the set and reports whether this call removed
 // it.
-func (s *SkipTrie) Delete(key uint64) bool {
-	t := s.m.latStart()
-	c := s.op()
-	ok := s.c.Delete(key, c)
-	s.m.record(OpDelete, c)
-	s.m.recordLatency(OpDelete, t)
-	return ok
-}
+func (s *SkipTrie) Delete(key uint64) bool { return s.e.Delete(key) }
 
 // Contains reports whether key is in the set.
 func (s *SkipTrie) Contains(key uint64) bool {
-	t := s.m.latStart()
-	c := s.op()
-	ok := s.c.Contains(key, c)
-	s.m.record(OpContains, c)
-	s.m.recordLatency(OpContains, t)
+	m := s.e.m
+	t := m.latStart()
+	c := m.op()
+	ok := s.e.t.Contains(key, c)
+	m.record(OpContains, c)
+	m.recordLatency(OpContains, t)
 	return ok
 }
 
 // Predecessor returns the largest key <= x.
 func (s *SkipTrie) Predecessor(x uint64) (uint64, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	k, _, ok := s.c.Predecessor(x, c)
-	s.m.record(OpPredecessor, c)
-	s.m.recordLatency(OpPredecessor, t)
+	k, _, ok := s.e.Predecessor(x)
 	return k, ok
 }
 
 // StrictPredecessor returns the largest key < x.
 func (s *SkipTrie) StrictPredecessor(x uint64) (uint64, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	k, _, ok := s.c.StrictPredecessor(x, c)
-	s.m.record(OpPredecessor, c)
-	s.m.recordLatency(OpPredecessor, t)
+	k, _, ok := s.e.StrictPredecessor(x)
 	return k, ok
 }
 
 // Successor returns the smallest key >= x.
 func (s *SkipTrie) Successor(x uint64) (uint64, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	k, _, ok := s.c.Successor(x, c)
-	s.m.record(OpSuccessor, c)
-	s.m.recordLatency(OpSuccessor, t)
+	k, _, ok := s.e.Successor(x)
 	return k, ok
 }
 
 // StrictSuccessor returns the smallest key > x.
 func (s *SkipTrie) StrictSuccessor(x uint64) (uint64, bool) {
-	t := s.m.latStart()
-	c := s.op()
-	k, _, ok := s.c.StrictSuccessor(x, c)
-	s.m.record(OpSuccessor, c)
-	s.m.recordLatency(OpSuccessor, t)
+	k, _, ok := s.e.StrictSuccessor(x)
 	return k, ok
 }
 
 // Min returns the smallest key in the set.
 func (s *SkipTrie) Min() (uint64, bool) {
-	k, _, ok := s.c.Min(nil)
+	k, _, ok := s.e.Min()
 	return k, ok
 }
 
 // Max returns the largest key in the set.
 func (s *SkipTrie) Max() (uint64, bool) {
-	k, _, ok := s.c.Max(nil)
+	k, _, ok := s.e.Max()
 	return k, ok
 }
 
 // Len returns the number of keys. Under concurrent mutation the value is
 // a point-in-time approximation.
-func (s *SkipTrie) Len() int { return s.c.Len() }
+func (s *SkipTrie) Len() int { return s.e.Len() }
 
 // Width returns the universe width W = log2(u).
-func (s *SkipTrie) Width() int { return int(s.c.Width()) }
+func (s *SkipTrie) Width() int { return int(s.e.t.Width()) }
 
 // Levels returns the number of skiplist levels (about log log u).
-func (s *SkipTrie) Levels() int { return s.c.Levels() }
+func (s *SkipTrie) Levels() int { return s.e.t.Shard(0).Levels() }
 
 // MaxKey returns the largest representable key, 2^W - 1.
-func (s *SkipTrie) MaxKey() uint64 { return s.c.MaxKey() }
+func (s *SkipTrie) MaxKey() uint64 { return s.e.t.MaxKey() }
 
 // Range calls fn on every key >= from in ascending order until fn returns
 // false. Iteration is weakly consistent under concurrent mutation.
 func (s *SkipTrie) Range(from uint64, fn func(key uint64) bool) {
-	s.c.Range(from, func(k uint64, _ struct{}) bool { return fn(k) }, nil)
+	s.e.Range(from, func(k uint64, _ struct{}) bool { return fn(k) })
 }
 
 // Descend calls fn on every key <= from in descending order until fn
 // returns false. Each step costs one strict-predecessor query; iteration
 // is weakly consistent under concurrent mutation.
 func (s *SkipTrie) Descend(from uint64, fn func(key uint64) bool) {
-	s.c.Descend(from, func(k uint64, _ struct{}) bool { return fn(k) }, nil)
+	s.e.Descend(from, func(k uint64, _ struct{}) bool { return fn(k) })
 }
 
 // Keys returns all keys in ascending order (a weakly consistent snapshot).
@@ -205,14 +163,14 @@ func (s *SkipTrie) Keys() []uint64 {
 type SpaceStats = core.SpaceStats
 
 // Space returns current space statistics (approximate under concurrency).
-func (s *SkipTrie) Space() SpaceStats { return s.c.Space() }
+func (s *SkipTrie) Space() SpaceStats { return s.e.t.Space() }
 
 // TopGaps returns the distribution of key counts between consecutive
 // trie-indexed (top-level) keys; the paper predicts a geometric
 // distribution with mean about log u. Call at quiescence.
-func (s *SkipTrie) TopGaps() []int { return s.c.TopGaps() }
+func (s *SkipTrie) TopGaps() []int { return s.e.t.Shard(0).TopGaps() }
 
 // Validate checks every structural invariant of the quiescent structure.
 // It must not run concurrently with other operations. A non-nil error
 // indicates a bug in this package.
-func (s *SkipTrie) Validate() error { return s.c.Validate() }
+func (s *SkipTrie) Validate() error { return s.e.Validate() }

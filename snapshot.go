@@ -3,32 +3,8 @@ package skiptrie
 import (
 	"runtime"
 
-	"skiptrie/internal/core"
 	"skiptrie/internal/shard"
 )
-
-// snapSource is the backend a Snapshot handle reads through: a pinned
-// single trie (Map) or a per-shard pinned composite (Sharded). Beyond
-// point reads and cursors it exposes the CDC hooks — the epoch-window
-// diff against a later snapshot of the same backend, and the partition
-// shape Dump fans its per-part encoders out over.
-type snapSource[V any] interface {
-	load(key uint64) (V, bool)
-	cursor() cursor[V]
-	close() bool
-	// width is the universe width W recorded in dump headers.
-	width() uint8
-	// parts is the number of independently scannable key-ordered
-	// partitions (1 for a Map snapshot, the pinned shard count for a
-	// Sharded snapshot); part returns a fresh cursor over one of them.
-	parts() int
-	part(i int) cursor[V]
-	// diffTo streams the net per-key changes from this (older) snapshot
-	// to the newer one in ascending key order; see Snapshot.Diff for the
-	// delivery contract. Both snapshots must wrap the same backend kind
-	// and structure.
-	diffTo(newer snapSource[V], emit func(key uint64, val V, put bool) bool) error
-}
 
 // Snapshot is an immutable point-in-time view of a Map or Sharded,
 // returned by their Snapshot methods. Unlike the live ordered reads —
@@ -57,58 +33,55 @@ type snapSource[V any] interface {
 // All methods are safe for concurrent use; each cursor, as always,
 // belongs to a single goroutine.
 type Snapshot[V any] struct {
-	src     snapSource[V]
+	sn      *shard.Snap[V]
 	m       *Metrics
 	h       *TraceHooks
 	cleanup runtime.Cleanup
 }
 
-// newSnapshot wraps a pinned source in a handle with the leak guard
-// armed: if the handle is garbage-collected without Close, the cleanup
-// releases the pins anyway (so retained nodes do not accumulate
-// forever) and counts the leak in Metrics.LeakedPins. The cleanup's
-// argument deliberately holds the source, not the handle — a cleanup
-// argument must not keep its own pointer alive.
-func newSnapshot[V any](src snapSource[V], m *Metrics, h *TraceHooks) *Snapshot[V] {
-	sn := &Snapshot[V]{src: src, m: m, h: h}
+// leakedPin is the state a snapshot leak-guard cleanup runs against.
+type leakedPin[V any] struct {
+	sn *shard.Snap[V]
+	m  *Metrics
+}
+
+// Snapshot returns a point-in-time view of the map: each shard of the
+// current partition is pinned at its current epoch, one at a time, with
+// no global quiescence (a Map has one shard, so one O(1) pin). On a
+// Sharded the view stays valid — and unchanged — across concurrent
+// Split and Merge: a drained shard's frozen trie is wired into the
+// handle as-is rather than copied. See Snapshot (the type) for the
+// consistency contract and Close discipline.
+func (e *engine[V]) Snapshot() *Snapshot[V] {
+	sn := &Snapshot[V]{sn: e.t.Snapshot(), m: e.m, h: e.h}
+	// The leak guard: if the handle is garbage-collected without Close,
+	// the cleanup releases the pins anyway (so retained nodes do not
+	// accumulate forever) and counts the leak in Metrics.LeakedPins. Its
+	// argument holds the pinned view, not the handle: a cleanup
+	// argument must not keep its own pointer alive.
 	sn.cleanup = runtime.AddCleanup(sn, func(a leakedPin[V]) {
-		if a.src.close() {
+		if a.sn.Close() {
 			a.m.leakedPin()
 		}
-	}, leakedPin[V]{src: src, m: m})
+	}, leakedPin[V]{sn: sn.sn, m: e.m})
 	return sn
 }
 
-// leakedPin is the state a snapshot leak-guard cleanup runs against.
-type leakedPin[V any] struct {
-	src snapSource[V]
-	m   *Metrics
+// Load returns the value key held at the snapshot's pin point. It
+// records into the owning structure's Metrics exactly as a live Load
+// does; cursor scans stay unrecorded, matching the live scan paths.
+func (sn *Snapshot[V]) Load(key uint64) (V, bool) {
+	c := sn.m.op()
+	v, ok := sn.sn.Load(key, c)
+	sn.m.record(OpContains, c)
+	return v, ok
 }
-
-// Snapshot returns a point-in-time view of the map, pinned at the
-// current epoch. The pin is O(1); see Snapshot (the type) for the
-// consistency contract and Close discipline.
-func (m *Map[V]) Snapshot() *Snapshot[V] {
-	return newSnapshot[V](coreSnapSource[V]{sn: m.c.Snapshot(), m: m.m}, m.m, m.h)
-}
-
-// Snapshot returns a point-in-time view of the sharded map: every shard
-// of the current partition is pinned, one at a time, with no global
-// quiescence. The view stays valid — and unchanged — across concurrent
-// Split and Merge: a drained shard's frozen trie is wired into the
-// handle as-is rather than copied.
-func (s *Sharded[V]) Snapshot() *Snapshot[V] {
-	return newSnapshot[V](shardSnapSource[V]{sn: s.t.Snapshot(), m: s.m}, s.m, s.h)
-}
-
-// Load returns the value key held at the snapshot's pin point.
-func (sn *Snapshot[V]) Load(key uint64) (V, bool) { return sn.src.load(key) }
 
 // Range calls fn on each key/value with key >= from, in ascending
 // order, until fn returns false — over the pinned view: exactly the
 // pairs live at the pin point, regardless of concurrent updates.
 func (sn *Snapshot[V]) Range(from uint64, fn func(key uint64, val V) bool) {
-	it := sn.src.cursor()
+	it := sn.sn.MakeIter(nil)
 	for ok := it.Seek(from); ok; ok = it.Next() {
 		if !fn(it.Key(), it.Value()) {
 			return
@@ -119,7 +92,7 @@ func (sn *Snapshot[V]) Range(from uint64, fn func(key uint64, val V) bool) {
 // Descend calls fn on each key/value with key <= from, in descending
 // order, until fn returns false — over the pinned view.
 func (sn *Snapshot[V]) Descend(from uint64, fn func(key uint64, val V) bool) {
-	it := sn.src.cursor()
+	it := sn.sn.MakeIter(nil)
 	for ok := it.SeekLE(from); ok; ok = it.Prev() {
 		if !fn(it.Key(), it.Value()) {
 			return
@@ -140,7 +113,7 @@ func (sn *Snapshot[V]) Keys() []uint64 {
 // Iter returns a new unpositioned cursor over the pinned view, with the
 // same navigation surface as the live Iter. The cursor must not
 // outlive the snapshot's Close.
-func (sn *Snapshot[V]) Iter() *Iter[V] { return &Iter[V]{c: sn.src.cursor()} }
+func (sn *Snapshot[V]) Iter() *Iter[V] { return &Iter[V]{it: sn.sn.MakeIter(nil)} }
 
 // Close releases the snapshot's pins so retained nodes and value
 // versions can be reclaimed, and reports whether this call closed it
@@ -150,69 +123,11 @@ func (sn *Snapshot[V]) Iter() *Iter[V] { return &Iter[V]{c: sn.src.cursor()} }
 // counts the leak in Metrics.LeakedPins — but until then keys deleted
 // during the snapshot's life stay resident.
 func (sn *Snapshot[V]) Close() bool {
-	if !sn.src.close() {
+	if !sn.sn.Close() {
 		return false
 	}
 	sn.cleanup.Stop()
 	return true
-}
-
-// coreSnapSource adapts core.Snap (a Map snapshot). Point reads record
-// into the owning structure's Metrics exactly as live Loads do; cursor
-// scans stay unrecorded, matching the live scan paths.
-type coreSnapSource[V any] struct {
-	sn *core.Snap[V]
-	m  *Metrics
-}
-
-func (s coreSnapSource[V]) load(key uint64) (V, bool) {
-	c := s.m.op()
-	v, ok := s.sn.Load(key, c)
-	s.m.record(OpContains, c)
-	return v, ok
-}
-func (s coreSnapSource[V]) cursor() cursor[V]  { return s.sn.NewIter(nil) }
-func (s coreSnapSource[V]) close() bool        { return s.sn.Close() }
-func (s coreSnapSource[V]) width() uint8       { return s.sn.Width() }
-func (s coreSnapSource[V]) parts() int         { return 1 }
-func (s coreSnapSource[V]) part(int) cursor[V] { return s.sn.NewIter(nil) }
-
-func (s coreSnapSource[V]) diffTo(newer snapSource[V], emit func(key uint64, val V, put bool) bool) error {
-	n, ok := newer.(coreSnapSource[V])
-	if !ok {
-		return ErrSnapshotMismatch
-	}
-	return mapDiffErr(s.sn.DiffTo(n.sn, nil, emit))
-}
-
-// shardSnapSource adapts shard.Snap (a Sharded snapshot).
-type shardSnapSource[V any] struct {
-	sn *shard.Snap[V]
-	m  *Metrics
-}
-
-func (s shardSnapSource[V]) load(key uint64) (V, bool) {
-	c := s.m.op()
-	v, ok := s.sn.Load(key, c)
-	s.m.record(OpContains, c)
-	return v, ok
-}
-func (s shardSnapSource[V]) cursor() cursor[V] { return s.sn.NewIter(nil) }
-func (s shardSnapSource[V]) close() bool       { return s.sn.Close() }
-func (s shardSnapSource[V]) width() uint8      { return s.sn.Width() }
-func (s shardSnapSource[V]) parts() int        { return s.sn.NumShards() }
-
-func (s shardSnapSource[V]) part(i int) cursor[V] {
-	it := s.sn.ShardIter(i, nil)
-	return &it
-}
-
-func (s shardSnapSource[V]) diffTo(newer snapSource[V], emit func(key uint64, val V, put bool) bool) error {
-	n, ok := newer.(shardSnapSource[V])
-	if !ok {
-		return ErrSnapshotMismatch
-	}
-	return mapDiffErr(s.sn.DiffTo(n.sn, nil, emit))
 }
 
 // SetSnapshot is an immutable point-in-time view of a SkipTrie (the
@@ -227,7 +142,7 @@ type SetSnapshot struct {
 // Snapshot returns a point-in-time view of the set, pinned at the
 // current epoch. The pin is O(1); see SetSnapshot for the contract.
 func (s *SkipTrie) Snapshot() *SetSnapshot {
-	return &SetSnapshot{sn: newSnapshot[struct{}](coreSnapSource[struct{}]{sn: s.c.Snapshot(), m: s.m}, s.m, s.h)}
+	return &SetSnapshot{sn: s.e.Snapshot()}
 }
 
 // Contains reports whether key was in the set at the pin point.

@@ -107,20 +107,10 @@ type watcherState[V any] struct {
 	held map[uint64]DiffEvent[V] // events of deferred windows, coalesced by key
 }
 
-// Watch subscribes to the map's changes. See Watcher for the delivery
-// and backpressure contract.
-func (m *Map[V]) Watch(opts ...WatchOption) (*Watcher[V], error) {
-	return newWatcher(m.Snapshot, m.m, m.h, opts)
-}
-
-// Watch subscribes to the sharded map's changes, across concurrent
-// Split and Merge. See Watcher for the delivery and backpressure
-// contract.
-func (s *Sharded[V]) Watch(opts ...WatchOption) (*Watcher[V], error) {
-	return newWatcher(s.Snapshot, s.m, s.h, opts)
-}
-
-func newWatcher[V any](take func() *Snapshot[V], m *Metrics, h *TraceHooks, opts []WatchOption) (*Watcher[V], error) {
+// Watch subscribes to the map's changes (on a Sharded, across
+// concurrent Split and Merge). See Watcher for the delivery and
+// backpressure contract.
+func (e *engine[V]) Watch(opts ...WatchOption) (*Watcher[V], error) {
 	c := watchConfig{interval: defaultWatchInterval, buffer: defaultWatchBuffer}
 	for _, fn := range opts {
 		fn(&c)
@@ -129,16 +119,16 @@ func newWatcher[V any](take func() *Snapshot[V], m *Metrics, h *TraceHooks, opts
 		return nil, c.err
 	}
 	st := &watcherState[V]{
-		take: take,
-		m:    m,
-		h:    h,
+		take: e.Snapshot,
+		m:    e.m,
+		h:    e.h,
 		ch:   make(chan []DiffEvent[V], c.buffer),
 		done: make(chan struct{}),
-		cur:  take(),
+		cur:  e.Snapshot(),
 	}
 	if c.interval > 0 {
 		st.stop = make(chan struct{})
-		if h != nil {
+		if e.h != nil {
 			// Label the ticker goroutine so it is attributable in CPU
 			// and goroutine profiles when tracing is on.
 			go pprof.Do(context.Background(), pprof.Labels("skiptrie", "watcher"), func(context.Context) {
