@@ -149,10 +149,39 @@ func TestMergeIterEmpty(t *testing.T) {
 	}
 }
 
+// perShardKeys concatenates each shard's own cursor output: the
+// reference order for every cross-shard traversal.
+func perShardKeys(tr *Trie[uint64]) []uint64 {
+	var all []uint64
+	for _, b := range tr.tab.Load().buckets {
+		b.trie.Range(0, func(k uint64, _ uint64) bool { all = append(all, k); return true }, nil)
+	}
+	return all
+}
+
+// checkTraversal walks a fresh cursor from seek through step and
+// fails on the first divergence from want.
+func checkTraversal(t *testing.T, tr *Trie[uint64], name string, want []uint64,
+	seek func(*Iter[uint64]) bool, step func(*Iter[uint64]) bool) {
+	t.Helper()
+	var got []uint64
+	it := tr.MakeIter(nil)
+	for ok := seek(&it); ok; ok = step(&it) {
+		got = append(got, it.Key())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: cursor yielded %d keys, per-shard %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: divergence at %d: cursor %#x, per-shard %#x", name, i, got[i], want[i])
+		}
+	}
+}
+
 // TestMergeIterVsPerShard cross-checks the cursor against
 // concatenating each shard's own cursor output, on a random quiesced
-// population: full traversals plus Seek/SeekLE traversals from five
-// start points, in both directions.
+// population.
 func TestMergeIterVsPerShard(t *testing.T) {
 	tr := New[uint64](Config{Width: 16, Shards: 16, Seed: 9})
 	rng := rand.New(rand.NewSource(31))
@@ -162,27 +191,21 @@ func TestMergeIterVsPerShard(t *testing.T) {
 			tr.Delete(uint64(rng.Intn(1<<16)), nil)
 		}
 	}
-	var all []uint64
-	for _, b := range tr.tab.Load().buckets {
-		b.trie.Range(0, func(k uint64, _ uint64) bool { all = append(all, k); return true }, nil)
+	checkTraversal(t, tr, "First/Next", perShardKeys(tr), (*Iter[uint64]).First, (*Iter[uint64]).Next)
+}
+
+// TestSeekAllMatchesSeek pins seek-positioned traversals to the full
+// one: on 16 shards, Seek/Next and SeekLE/Prev from five start points
+// must yield exactly the per-shard keys at or beyond the start point,
+// in order, and a cursor positioned by Seek must reverse across a
+// shard boundary.
+func TestSeekAllMatchesSeek(t *testing.T) {
+	tr := New[uint64](Config{Width: 16, Shards: 16, Seed: 21})
+	rng := rand.New(rand.NewSource(77))
+	for i := 0; i < 4000; i++ {
+		tr.Insert(uint64(rng.Intn(1<<16)), uint64(i), nil)
 	}
-	check := func(name string, want []uint64, seek func(*Iter[uint64]) bool, step func(*Iter[uint64]) bool) {
-		t.Helper()
-		var got []uint64
-		it := tr.MakeIter(nil)
-		for ok := seek(&it); ok; ok = step(&it) {
-			got = append(got, it.Key())
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: cursor yielded %d keys, per-shard %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: divergence at %d: cursor %#x, per-shard %#x", name, i, got[i], want[i])
-			}
-		}
-	}
-	check("First/Next", all, (*Iter[uint64]).First, (*Iter[uint64]).Next)
+	all := perShardKeys(tr)
 	for _, from := range []uint64{0, 1, 0x7FFF, 0x8000, 0xFFFF} {
 		var up, down []uint64
 		for _, k := range all {
@@ -195,10 +218,20 @@ func TestMergeIterVsPerShard(t *testing.T) {
 				down = append(down, all[i])
 			}
 		}
-		check(fmt.Sprintf("Seek(%#x)/Next", from), up,
+		checkTraversal(t, tr, fmt.Sprintf("Seek(%#x)/Next", from), up,
 			func(it *Iter[uint64]) bool { return it.Seek(from) }, (*Iter[uint64]).Next)
-		check(fmt.Sprintf("SeekLE(%#x)/Prev", from), down,
+		checkTraversal(t, tr, fmt.Sprintf("SeekLE(%#x)/Prev", from), down,
 			func(it *Iter[uint64]) bool { return it.SeekLE(from) }, (*Iter[uint64]).Prev)
+	}
+	// 0x4000 opens shard 4, so the second Prev crosses back into
+	// shard 3.
+	it := tr.MakeIter(nil)
+	if !it.Seek(0x4000) {
+		t.Fatal("Seek(0x4000) found nothing")
+	}
+	first := it.Key()
+	if !it.Next() || !it.Prev() || it.Key() != first || !it.Prev() || it.Key() >= 0x4000 {
+		t.Fatal("seek-positioned cursor cannot reverse across the shard boundary")
 	}
 }
 
