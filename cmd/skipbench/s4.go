@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -18,18 +19,19 @@ import (
 // scale: an in-process skiptried over a loopback listener, swept from
 // tens to >=1024 concurrent pipelining clients. The question the row
 // sweep answers is whether throughput and client tail latency survive
-// connection count — the per-connection cost is three goroutines and
-// two bounded queues, so the sweep should degrade smoothly (scheduler
-// pressure) rather than collapse, with zero protocol errors and BUSY
-// backpressure instead of unbounded buffering. The server runs with
-// auto-resharding on, so the final shard column also shows the
-// balancer reacting to the MovingZipf hot range under real load.
+// connection count — the per-connection cost is one goroutine and two
+// fixed buffers, so the sweep should degrade smoothly (scheduler
+// pressure) rather than collapse, with zero protocol errors. The
+// goroutines column counts the server's goroutines per connection,
+// sampled mid-window. The server runs with auto-resharding on, so the
+// final shard column also shows the balancer reacting to the
+// MovingZipf hot range under real load.
 func s4ConnectionScale(sc harness.Scale) harness.Result {
 	res := harness.Result{
 		Name:  "S4 connection scale: wire protocol over loopback, pipelined MovingZipf mix",
 		Claim: "throughput and client tails degrade smoothly with connection count; zero protocol errors at >=1024 conns",
 		Header: []string{"conns", "kop/s", "p50 us", "p99 us", "p999 us",
-			"busy", "proto err", "batched sets", "shards"},
+			"goroutines/conn", "proto err", "batched sets", "shards"},
 	}
 	const (
 		width    = 24
@@ -50,7 +52,6 @@ func s4ConnectionScale(sc harness.Scale) harness.Result {
 		srv := server.New(server.Config{
 			Shards:       1,
 			ReshardEvery: 10 * time.Millisecond,
-			QueueDepth:   2 * pipeline,
 		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -59,6 +60,21 @@ func s4ConnectionScale(sc harness.Scale) harness.Result {
 		}
 		go srv.Serve(ln)
 		addr := ln.Addr().String()
+
+		// One STATS round trip creates the namespace, so its balancer
+		// goroutine is in the baseline and the goroutines column counts
+		// connections alone. The setup connection stays open, in the
+		// baseline too.
+		setup, err := wire.Dial(addr, 10*time.Second)
+		if err == nil {
+			_, err = setup.Stats([]byte(nsName))
+		}
+		if err != nil {
+			res.Notes = append(res.Notes, fmt.Sprintf("conns=%d: namespace setup: %v", conns, err))
+			srv.Close()
+			continue
+		}
+		baseGoroutines := runtime.NumGoroutine()
 
 		// Dial everything up front so the measured window is steady state.
 		clients := make([]*wire.Client, conns)
@@ -75,8 +91,8 @@ func s4ConnectionScale(sc harness.Scale) harness.Result {
 			mu       sync.Mutex
 			lat      stats.Hist
 			ops      uint64
-			busy     uint64
 			protoErr = uint64(dialErr)
+			started  int
 		)
 		stop := make(chan struct{})
 		start := time.Now()
@@ -84,13 +100,14 @@ func s4ConnectionScale(sc harness.Scale) harness.Result {
 			if c == nil {
 				continue
 			}
+			started++
 			wg.Add(1)
 			go func(id int, c *wire.Client) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(2000 + int64(id)))
 				val := make([]byte, sizer.Max)
 				var local stats.Hist
-				var lOps, lBusy, lErr uint64
+				var lOps, lErr uint64
 				var resp wire.Response
 			windows:
 				for w := 0; ; w++ {
@@ -138,8 +155,6 @@ func s4ConnectionScale(sc harness.Scale) harness.Result {
 						switch resp.Status {
 						case wire.StatusOK, wire.StatusNotFound:
 							lOps++
-						case wire.StatusBusy:
-							lBusy++
 						default:
 							lErr++
 						}
@@ -149,31 +164,37 @@ func s4ConnectionScale(sc harness.Scale) harness.Result {
 				mu.Lock()
 				lat.Merge(local)
 				ops += lOps
-				busy += lBusy
 				protoErr += lErr
 				mu.Unlock()
 			}(i, c)
 		}
-		time.Sleep(dur)
+		// Mid-window, every connection is open and busy: what the
+		// goroutine count gained over the baseline, less one client
+		// goroutine per connection, is the server's share.
+		time.Sleep(dur / 2)
+		perConn := float64(runtime.NumGoroutine()-baseGoroutines-started) / float64(max(started, 1))
+		time.Sleep(dur - dur/2)
 		close(stop)
 		wg.Wait()
 		elapsed := time.Since(start)
 		st := srv.Stats()
 		shards := srv.NamespaceShards(nsName)
+		setup.Close()
 		srv.Close()
 
 		res.AddRow(
 			harness.I(conns),
 			harness.F(float64(ops)/float64(elapsed.Milliseconds()+1)),
 			harness.Us(lat.Quantile(0.50)), harness.Us(lat.Quantile(0.99)), harness.Us(lat.Quantile(0.999)),
-			harness.I(int(busy)), harness.I(int(protoErr)),
+			harness.F(perConn), harness.I(int(protoErr)),
 			harness.I(int(st.BatchedSets)), harness.I(shards),
 		)
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("workload: %s + scans, pipeline window %d, one SNAPSHOT-SCAN per 64 windows per conn", mix, pipeline),
 		"latency is client-observed per request (window flush to response); server runs in-process with auto-resharding from 1 shard",
-		"BUSY responses are backpressure (bounded queues), not failures; proto err must stay 0",
+		"backpressure is TCP flow control (the server never sends BUSY); any status but OK/NOT_FOUND counts as a proto err, which must stay 0",
+		"goroutines/conn: server goroutines per open connection, sampled mid-window; one loop per connection reads 1.0",
 	)
 	return res
 }

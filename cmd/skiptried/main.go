@@ -2,8 +2,8 @@
 // protocol (see internal/wire). It listens on -addr, optionally writes
 // the resolved address to -addr-file (so harnesses can bind port 0 and
 // discover the port without parsing logs), and drains gracefully on
-// SIGTERM/SIGINT: accepted requests finish, late frames get SHUTDOWN,
-// and the process logs "drained, exiting" before returning 0.
+// SIGTERM/SIGINT: frames already decoded finish, later frames get
+// SHUTDOWN, and the process logs "drained, exiting" before returning 0.
 package main
 
 import (
@@ -21,15 +21,13 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:7171", "listen address (use :0 for a random port)")
-		addrFile   = flag.String("addr-file", "", "write the resolved listen address to this file")
-		shards     = flag.Int("shards", 0, "initial shards per namespace (0 = GOMAXPROCS)")
-		maxShards  = flag.Int("max-shards", 0, "max shards per namespace (0 = package maximum)")
-		reshard    = flag.Duration("reshard-every", 0, "auto-reshard balancer interval (0 = default)")
-		queueDepth = flag.Int("queue-depth", 0, "per-connection request queue depth (0 = default)")
-		batchMin   = flag.Int("batch-min", 0, "min consecutive SET run coalesced into StoreBatch (0 = default, <0 disables)")
-		latRate    = flag.Float64("latency-rate", 0, "per-namespace latency sampling rate (0 = default, <0 disables)")
-		linger     = flag.Duration("drain-linger", 0, "how long draining connections answer late frames (0 = default)")
+		addr      = flag.String("addr", "127.0.0.1:7171", "listen address (use :0 for a random port)")
+		addrFile  = flag.String("addr-file", "", "write the resolved listen address to this file")
+		shards    = flag.Int("shards", 0, "initial shards per namespace (0 = GOMAXPROCS)")
+		maxShards = flag.Int("max-shards", 0, "max shards per namespace (0 = package maximum)")
+		reshard   = flag.Duration("reshard-every", 0, "auto-reshard balancer interval (0 = default)")
+		latRate   = flag.Float64("latency-rate", 0, "per-namespace latency sampling rate (0 = default, <0 disables)")
+		linger    = flag.Duration("drain-linger", 0, "how long draining connections answer late frames (0 = default)")
 	)
 	flag.Parse()
 
@@ -37,8 +35,6 @@ func main() {
 		Shards:       *shards,
 		MaxShards:    *maxShards,
 		ReshardEvery: *reshard,
-		QueueDepth:   *queueDepth,
-		BatchMin:     *batchMin,
 		LatencyRate:  *latRate,
 		DrainLinger:  *linger,
 	})
@@ -72,7 +68,7 @@ func main() {
 	<-drained // Serve returns as soon as the listener closes; wait for the linger
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr,
-		"skiptried: drained, exiting (up %s, conns=%d frames=%d busy=%d shutdown=%d protoerr=%d batches=%d namespaces=%d)\n",
+		"skiptried: drained, exiting (up %s, conns=%d frames=%d shutdown=%d protoerr=%d batches=%d namespaces=%d)\n",
 		time.Since(start).Round(time.Millisecond), st.ConnsAccepted, st.Frames,
-		st.BusyRejects, st.ShutdownRejects, st.ProtoErrors, st.SetBatches, st.Namespaces)
+		st.ShutdownRejects, st.ProtoErrors, st.SetBatches, st.Namespaces)
 }

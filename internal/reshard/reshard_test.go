@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,30 +194,38 @@ func TestStartStopIdempotent(t *testing.T) {
 func TestBalancerOverRealTrie(t *testing.T) {
 	const w = 16
 	tr := shard.New[uint64](shard.Config{Width: w, Shards: 4, MaxShards: 64, Seed: 9})
+	// Merges fold the cold siblings a split leaves behind, and once the
+	// writers stop every shard turns cold, so the shard count can fall
+	// back to 4 between seeing a split and checking it. MinShards 5
+	// keeps merges from ever taking the count below 5 again.
 	b := New(ForTrie(tr), Policy{
-		Interval: time.Millisecond,
-		MinOps:   64,
-		MinLen:   256,
+		Interval:  time.Millisecond,
+		MinOps:    64,
+		MinLen:    256,
+		MinShards: 5,
 	})
 
 	// Static skew: every key lands in the top quarter of the universe.
+	// The writers keep the range hot until the split is seen.
 	hotBase := uint64(3) << (w - 2)
+	var stop atomic.Bool
 	var wg sync.WaitGroup
 	b.Start()
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 6000; i++ {
-				tr.Store(hotBase+uint64((g*6000+i)%(1<<(w-2))), uint64(i), nil)
+			for i := 0; !stop.Load(); i++ {
+				tr.Store(hotBase+uint64((g*6000+i%6000)%(1<<(w-2))), uint64(i), nil)
 			}
 		}(g)
 	}
-	wg.Wait()
-	// Let the balancer catch up with the final counters.
-	for i := 0; i < 50 && b.Stats().Splits == 0; i++ {
+	deadline := time.Now().Add(10 * time.Second)
+	for (b.Stats().Splits == 0 || tr.Shards() <= 4) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	stop.Store(true)
+	wg.Wait()
 	b.Stop()
 
 	st := b.Stats()

@@ -32,7 +32,7 @@ const benchKeys = 1 << 14
 
 func prefill(b *testing.B, c *wire.Client, ns []byte) {
 	b.Helper()
-	const window = 64 // stays under the default QueueDepth: no BUSY
+	const window = 64 // one full SET run: each window is one StoreBatch
 	val := []byte("benchmark-value-16")
 	var resp wire.Response
 	for base := uint64(0); base < benchKeys; base += window {
@@ -105,7 +105,7 @@ func BenchmarkWireSet(b *testing.B) {
 }
 
 // BenchmarkWirePipelined measures SET throughput with a 64-deep
-// pipeline window — the shape the worker coalesces into StoreBatch.
+// pipeline window — the shape the server coalesces into StoreBatch.
 // sec/op is per request; p99-ns is the client-observed request latency
 // (flush to response) under that window.
 func BenchmarkWirePipelined(b *testing.B) {

@@ -3,9 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync/atomic"
 	"time"
@@ -13,125 +13,99 @@ import (
 	"skiptrie/internal/wire"
 )
 
-// task is one accepted request, queued from reader to worker. val is
-// an owned copy (frame buffers are reused); ns is pre-resolved by the
-// reader so namespace creation cost never lands inside a batch run.
-type task struct {
-	seq   uint32
-	op    wire.Op
-	ns    *namespace
-	key   uint64
-	val   []byte
-	limit uint32
-}
-
-// Static reject messages.
-var (
-	msgBusy     = []byte("request queue full")
-	msgShutdown = []byte("server draining")
+// Per-connection constants.
+const (
+	// ioBufSize sizes each connection's read buffer and write buffer.
+	ioBufSize = 64 << 10
+	// batchMin is the shortest run of consecutive same-namespace SETs
+	// applied with one StoreBatch; shorter runs take per-key Stores.
+	batchMin = 8
+	// batchMax caps a run, so a connection holds at most this many
+	// decoded values before applying them.
+	batchMax = 64
+	// maxScanBytes caps one scan response's value payload, so a single
+	// SCAN stays far below wire.MaxFrame.
+	maxScanBytes = 256 << 10
 )
 
+var msgShutdown = []byte("server draining")
+
+// conn is one client connection. Its only goroutine is serve.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-
-	reqQ  chan task
-	outQ  chan []byte // encoded response frames, worker/reader -> writer
-	freeQ chan []byte // recycled response buffers, writer -> worker/reader
+	br  *bufio.Reader
+	bw  *bufio.Writer
 
 	draining atomic.Bool
 
-	// reader-local namespace cache: pipelined bursts overwhelmingly hit
+	// One-entry namespace cache: pipelined bursts overwhelmingly hit
 	// one namespace, so the common case skips the server map lock.
 	lastNSName []byte
 	lastNS     *namespace
+
+	// The pending run of SETs on runNS, in submission order. Values are
+	// owned copies: the frame buffer is reused.
+	runNS   *namespace
+	runSeqs []uint32
+	runKeys []uint64
+	runVals [][]byte
+
+	out     []byte       // one encoded response
+	entries []wire.Entry // scan results
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
-		srv:   s,
-		nc:    nc,
-		reqQ:  make(chan task, s.cfg.QueueDepth),
-		outQ:  make(chan []byte, s.cfg.OutDepth),
-		freeQ: make(chan []byte, s.cfg.OutDepth),
+		srv: s,
+		nc:  nc,
+		br:  bufio.NewReaderSize(nc, ioBufSize),
+		bw:  bufio.NewWriterSize(nc, ioBufSize),
 	}
 }
 
 // beginDrain switches the connection into drain mode: frames decoded
 // from here on are rejected with StatusShutdown, and the deadline
 // bounds how long the connection lingers for such late frames before
-// the read (and any stuck write) errors out and the trio unwinds.
+// the read (and any stuck write) errors out and serve returns.
 func (c *conn) beginDrain(deadline time.Time) {
 	c.draining.Store(true)
 	c.nc.SetReadDeadline(deadline)
 	c.nc.SetWriteDeadline(deadline)
 }
 
-// getBuf returns an empty response buffer, recycling flushed ones.
-func (c *conn) getBuf() []byte {
-	select {
-	case b := <-c.freeQ:
-		return b[:0]
-	default:
-		return nil
-	}
-}
-
-// putBuf recycles a flushed response buffer.
-func (c *conn) putBuf(b []byte) {
-	if b == nil {
-		return
-	}
-	select {
-	case c.freeQ <- b:
-	default:
-	}
-}
-
-// sendResp encodes resp into a recycled buffer and queues it for the
-// writer. A full outQ blocks — bounded buffering; the stall clears
-// when the client drains its socket (or the write deadline fires).
-func (c *conn) sendResp(resp *wire.Response) {
-	buf, err := wire.AppendResponse(c.getBuf(), resp)
-	if err != nil {
-		// Encoding can only fail on a server bug (oversized payload we
-		// built ourselves); degrade to a plain error reply.
-		buf, _ = wire.AppendResponse(buf[:0], &wire.Response{
-			Seq: resp.Seq, Op: resp.Op, Status: wire.StatusErr,
-			Val: []byte("response too large"),
-		})
-	}
-	c.outQ <- buf
-}
-
-// reject sends a non-OK status from the reader. op must be a valid
-// opcode (rejections echo the request's when parsable).
-func (c *conn) reject(seq uint32, op wire.Op, st wire.Status, msg []byte) {
-	c.sendResp(&wire.Response{Seq: seq, Op: op, Status: st, Val: msg})
-}
-
-// readLoop decodes frames and feeds the worker. It exits on EOF, read
-// error (including the drain deadline), or a malformed frame; on exit
-// it closes reqQ, which unwinds the worker and then the writer.
-func (c *conn) readLoop() {
+// serve reads frames and executes each one in place, appending its
+// response to the write buffer. It flushes only when no complete frame
+// is left to read, so a pipelined burst costs about one read and one
+// write syscall. It returns on EOF, a read or write error (the drain
+// deadline included), or a malformed frame.
+func (c *conn) serve() {
 	defer c.srv.wg.Done()
-	defer close(c.reqQ)
-	br := bufio.NewReaderSize(c.nc, 64<<10)
+	defer c.srv.dropConn(c)
+	defer c.nc.Close()
+	defer c.bw.Flush() // the ERR reply of a malformed frame
 	var fbuf []byte
 	var req wire.Request
 	for {
-		body, err := wire.ReadFrame(br, fbuf)
-		if err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || isNetErr(err) {
-				return // client gone or deadline fired
+		if !frameBuffered(c.br) {
+			c.applyRun()
+			if c.bw.Flush() != nil {
+				return
 			}
-			// Framing violation (oversized length prefix): the stream
-			// is unrecoverable.
-			c.srv.stats.protoErrors.Add(1)
-			c.reject(0, wire.OpGet, wire.StatusErr, []byte(err.Error()))
-			return
+		}
+		body, err := wire.ReadFrame(c.br, fbuf)
+		if err != nil {
+			if errors.Is(err, wire.ErrFrameTooLarge) {
+				// Framing violation: the stream is unrecoverable.
+				c.srv.stats.protoErrors.Add(1)
+				c.send(&wire.Response{Op: wire.OpGet, Status: wire.StatusErr, Val: []byte(err.Error())})
+			}
+			return // or EOF, a dead peer, the drain deadline
 		}
 		fbuf = body[:cap(body)]
+		// The drain decision is taken before the frame is counted, so a
+		// frame counted before Drain began is never rejected as late.
+		late := c.draining.Load()
 		c.srv.stats.frames.Add(1)
 		if err := wire.DecodeRequest(body, &req); err != nil {
 			// Frame boundaries are intact but the payload is malformed;
@@ -141,34 +115,136 @@ func (c *conn) readLoop() {
 			if op < wire.OpGet || op > wire.OpStats {
 				op = wire.OpGet
 			}
-			c.reject(req.Seq, op, wire.StatusErr, []byte(err.Error()))
+			c.send(&wire.Response{Seq: req.Seq, Op: op, Status: wire.StatusErr, Val: []byte(err.Error())})
 			return
 		}
-		if c.draining.Load() {
-			c.srv.stats.shutdownRejects.Add(1)
-			c.reject(req.Seq, req.Op, wire.StatusShutdown, msgShutdown)
-			continue
-		}
-		ns, err := c.lookupNS(req.NS)
-		if err != nil {
-			c.reject(req.Seq, req.Op, wire.StatusErr, []byte(err.Error()))
-			continue
-		}
-		t := task{seq: req.Seq, op: req.Op, ns: ns, key: req.Key, limit: req.Limit}
-		if req.Op == wire.OpSet {
-			t.val = append([]byte(nil), req.Val...)
-		}
-		select {
-		case c.reqQ <- t:
-			c.srv.stats.enqueued.Add(1)
-		default:
-			c.srv.stats.busyRejects.Add(1)
-			c.reject(req.Seq, req.Op, wire.StatusBusy, msgBusy)
-		}
+		c.handle(&req, late)
 	}
 }
 
-// lookupNS resolves a namespace with a one-entry reader-local cache.
+// frameBuffered reports whether br holds a whole frame, so reading it
+// will not wait on the network.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4) // cannot fail: 4 bytes are buffered
+	return int64(binary.BigEndian.Uint32(hdr)) <= int64(n-4)
+}
+
+// handle executes one decoded request, or rejects it. SETs join the
+// pending run; every other request executes at once.
+func (c *conn) handle(req *wire.Request, late bool) {
+	if late {
+		c.srv.stats.shutdownRejects.Add(1)
+		c.send(&wire.Response{Seq: req.Seq, Op: req.Op, Status: wire.StatusShutdown, Val: msgShutdown})
+		return
+	}
+	ns, err := c.lookupNS(req.NS)
+	if err != nil {
+		c.send(&wire.Response{Seq: req.Seq, Op: req.Op, Status: wire.StatusErr, Val: []byte(err.Error())})
+		return
+	}
+	if req.Op == wire.OpSet {
+		if ns != c.runNS {
+			c.applyRun()
+			c.runNS = ns
+		}
+		c.runSeqs = append(c.runSeqs, req.Seq)
+		c.runKeys = append(c.runKeys, req.Key)
+		c.runVals = append(c.runVals, bytes.Clone(req.Val))
+		if len(c.runSeqs) == batchMax {
+			c.applyRun()
+		}
+		return
+	}
+	c.applyRun() // program order: earlier SETs take effect first
+	resp := wire.Response{Seq: req.Seq, Op: req.Op, Status: wire.StatusOK}
+	switch req.Op {
+	case wire.OpGet:
+		v, ok := ns.s.Load(req.Key)
+		if !ok {
+			resp.Status = wire.StatusNotFound
+			break
+		}
+		resp.Val = v
+	case wire.OpDel:
+		if !ns.s.Delete(req.Key) {
+			resp.Status = wire.StatusNotFound
+		}
+	case wire.OpScan:
+		it := ns.s.Iter()
+		c.entries = scanInto(c.entries[:0], it.Seek(req.Key), it.Next, it.Key, it.Value, req.Limit)
+		resp.Entries = c.entries
+	case wire.OpSnapScan:
+		sn := ns.s.Snapshot()
+		it := sn.Iter()
+		c.entries = scanInto(c.entries[:0], it.Seek(req.Key), it.Next, it.Key, it.Value, req.Limit)
+		resp.Entries = c.entries
+		sn.Close()
+	case wire.OpStats:
+		var buf bytes.Buffer
+		if err := ns.m.WriteProm(&buf); err != nil {
+			resp.Status = wire.StatusErr
+			resp.Val = []byte(err.Error())
+			break
+		}
+		c.srv.writeServerProm(&buf)
+		resp.Val = buf.Bytes()
+	}
+	// Payloads alias stored values (immutable once stored) and the
+	// scan scratch; both stay valid until write has encoded them.
+	c.write(&resp)
+}
+
+// applyRun applies the pending SET run, with one StoreBatch when it
+// holds at least batchMin SETs, and appends an OK response per SET.
+func (c *conn) applyRun() {
+	n := len(c.runSeqs)
+	if n == 0 {
+		return
+	}
+	if n >= batchMin {
+		c.runNS.s.StoreBatch(c.runKeys, c.runVals)
+		c.srv.stats.setBatches.Add(1)
+		c.srv.stats.batchedSets.Add(uint64(n))
+	} else {
+		for i, k := range c.runKeys {
+			c.runNS.s.Store(k, c.runVals[i])
+		}
+	}
+	for _, seq := range c.runSeqs {
+		c.write(&wire.Response{Seq: seq, Op: wire.OpSet, Status: wire.StatusOK})
+	}
+	clear(c.runVals) // the trie owns the values now
+	c.runSeqs, c.runKeys, c.runVals = c.runSeqs[:0], c.runKeys[:0], c.runVals[:0]
+}
+
+// send appends resp to the write buffer after the pending run's
+// responses, so responses leave in submission order.
+func (c *conn) send(resp *wire.Response) {
+	c.applyRun()
+	c.write(resp)
+}
+
+// write encodes resp and appends it to the write buffer. A write error
+// sticks in the buffer and ends serve at its next flush.
+func (c *conn) write(resp *wire.Response) {
+	out, err := wire.AppendResponse(c.out[:0], resp)
+	if err != nil {
+		// Encoding can only fail on a server bug (oversized payload we
+		// built ourselves); degrade to a plain error reply.
+		out, _ = wire.AppendResponse(out[:0], &wire.Response{
+			Seq: resp.Seq, Op: resp.Op, Status: wire.StatusErr,
+			Val: []byte("response too large"),
+		})
+	}
+	c.out = out
+	c.bw.Write(out)
+}
+
+// lookupNS resolves a namespace with the one-entry cache.
 func (c *conn) lookupNS(name []byte) (*namespace, error) {
 	if c.lastNS != nil && bytes.Equal(name, c.lastNSName) {
 		return c.lastNS, nil
@@ -182,173 +258,19 @@ func (c *conn) lookupNS(name []byte) (*namespace, error) {
 	return ns, nil
 }
 
-// workLoop executes queued tasks in submission order, coalescing runs
-// of same-namespace SETs into StoreBatch calls. It exits when the
-// reader closes reqQ and closes outQ behind itself.
-func (c *conn) workLoop() {
-	defer c.srv.wg.Done()
-	defer close(c.outQ)
-	cfg := &c.srv.cfg
-	burst := make([]task, 0, cfg.BurstWindow)
-	var keys []uint64
-	var vals [][]byte
-	var resp wire.Response
-	var entries []wire.Entry
-	for t := range c.reqQ {
-		// Pull whatever is immediately available: the pipeline window
-		// the batching rule inspects.
-		burst = append(burst[:0], t)
-	fill:
-		for len(burst) < cfg.BurstWindow {
-			select {
-			case t2, ok := <-c.reqQ:
-				if !ok {
-					break fill
-				}
-				burst = append(burst, t2)
-			default:
-				break fill
-			}
-		}
-		i := 0
-		for i < len(burst) {
-			// Find the run of consecutive SETs on one namespace.
-			j := i
-			for j < len(burst) && burst[j].op == wire.OpSet && burst[j].ns == burst[i].ns {
-				j++
-			}
-			if cfg.BatchMin > 0 && j-i >= cfg.BatchMin {
-				keys, vals = keys[:0], vals[:0]
-				for k := i; k < j; k++ {
-					keys = append(keys, burst[k].key)
-					vals = append(vals, burst[k].val)
-				}
-				burst[i].ns.s.StoreBatch(keys, vals)
-				c.srv.stats.setBatches.Add(1)
-				c.srv.stats.batchedSets.Add(uint64(j - i))
-				for k := i; k < j; k++ {
-					resp = wire.Response{Seq: burst[k].seq, Op: wire.OpSet, Status: wire.StatusOK}
-					c.sendResp(&resp)
-				}
-				i = j
-				continue
-			}
-			entries = c.execTask(&burst[i], &resp, entries)
-			c.sendResp(&resp)
-			i++
-		}
-	}
-}
-
-// execTask runs one task and fills resp. The scratch entry slice is
-// threaded through to amortize scan allocations; response payloads
-// alias stored values (immutable once stored) and the scratch, both
-// stable until the response is encoded by the caller.
-func (c *conn) execTask(t *task, resp *wire.Response, entries []wire.Entry) []wire.Entry {
-	*resp = wire.Response{Seq: t.seq, Op: t.op, Status: wire.StatusOK}
-	switch t.op {
-	case wire.OpGet:
-		v, ok := t.ns.s.Load(t.key)
-		if !ok {
-			resp.Status = wire.StatusNotFound
-			return entries
-		}
-		resp.Val = v
-	case wire.OpSet:
-		t.ns.s.Store(t.key, t.val)
-	case wire.OpDel:
-		if !t.ns.s.Delete(t.key) {
-			resp.Status = wire.StatusNotFound
-		}
-	case wire.OpScan:
-		it := t.ns.s.Iter()
-		entries = scanInto(entries[:0], it.Seek(t.key), it.Next, it.Key, it.Value, t.limit, c.srv.cfg.MaxScanBytes)
-		resp.Entries = entries
-	case wire.OpSnapScan:
-		sn := t.ns.s.Snapshot()
-		it := sn.Iter()
-		entries = scanInto(entries[:0], it.Seek(t.key), it.Next, it.Key, it.Value, t.limit, c.srv.cfg.MaxScanBytes)
-		resp.Entries = entries
-		sn.Close()
-	case wire.OpStats:
-		var buf bytes.Buffer
-		if err := t.ns.m.WriteProm(&buf); err == nil {
-			c.srv.writeServerProm(&buf)
-			resp.Val = buf.Bytes()
-		} else {
-			resp.Status = wire.StatusErr
-			resp.Val = []byte(err.Error())
-		}
-	default:
-		resp.Status = wire.StatusErr
-		resp.Val = []byte(wire.ErrUnknownOp.Error())
-	}
-	return entries
-}
-
 // scanInto walks a positioned cursor forward, bounded by the entry
-// limit and the payload byte cap.
-func scanInto(dst []wire.Entry, ok bool, next func() bool, key func() uint64, val func() []byte,
-	limit uint32, maxBytes int) []wire.Entry {
+// limit and maxScanBytes.
+func scanInto(dst []wire.Entry, ok bool, next func() bool, key func() uint64, val func() []byte, limit uint32) []wire.Entry {
 	total := 0
 	for ; ok && uint32(len(dst)) < limit; ok = next() {
 		v := val()
 		total += len(v) + 12
-		if len(dst) > 0 && total > maxBytes {
+		if len(dst) > 0 && total > maxScanBytes {
 			break
 		}
 		dst = append(dst, wire.Entry{Key: key(), Val: v})
 	}
 	return dst
-}
-
-// writeLoop copies encoded responses to the socket, coalescing every
-// burst into one flush. On a write error it keeps draining outQ (so
-// the worker and reader never block on a dead peer) without writing.
-func (c *conn) writeLoop() {
-	defer c.srv.wg.Done()
-	defer c.srv.dropConn(c)
-	defer c.nc.Close()
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	var werr error
-	for buf := range c.outQ {
-		if werr == nil {
-			_, werr = bw.Write(buf)
-		}
-		c.putBuf(buf)
-		// Coalesce: drain whatever else is queued before flushing.
-	drain:
-		for {
-			select {
-			case more, ok := <-c.outQ:
-				if !ok {
-					break drain
-				}
-				if werr == nil {
-					_, werr = bw.Write(more)
-				}
-				c.putBuf(more)
-			default:
-				break drain
-			}
-		}
-		if werr == nil {
-			werr = bw.Flush()
-		}
-	}
-	if werr == nil {
-		bw.Flush()
-	}
-}
-
-// isNetErr reports whether err is an ordinary connection-lifecycle
-// error (reset, closed, deadline) rather than a protocol violation.
-func isNetErr(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
-	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe)
 }
 
 // writeServerProm appends the server-level counters to a STATS
@@ -361,7 +283,6 @@ func (s *Server) writeServerProm(buf *bytes.Buffer) {
 	emit("skiptried_conns_accepted_total", "Connections accepted.", "counter", st.ConnsAccepted)
 	emit("skiptried_conns_open", "Connections currently open.", "gauge", st.ConnsOpen)
 	emit("skiptried_frames_total", "Request frames decoded.", "counter", st.Frames)
-	emit("skiptried_busy_rejects_total", "Frames rejected with BUSY (queue full).", "counter", st.BusyRejects)
 	emit("skiptried_shutdown_rejects_total", "Frames rejected with SHUTDOWN (drain).", "counter", st.ShutdownRejects)
 	emit("skiptried_protocol_errors_total", "Malformed frames (connection closed).", "counter", st.ProtoErrors)
 	emit("skiptried_set_batches_total", "StoreBatch calls coalesced from pipelined SETs.", "counter", st.SetBatches)

@@ -6,29 +6,33 @@
 //
 // # Connection architecture
 //
-// Each connection runs three goroutines wired by two bounded channels:
+// Each connection runs one goroutine over a 64 KiB read buffer and a
+// 64 KiB write buffer. The goroutine decodes the frames already
+// buffered, executes each one in place against its namespace, and
+// appends the response to the write buffer. It flushes when the read
+// buffer holds no complete frame, so a pipelined burst costs about one
+// syscall in each direction. Every request on a connection, rejections
+// included, is answered in submission order.
 //
-//	reader --reqQ--> worker --outQ--> writer
+// # Backpressure
 //
-// The reader decodes frames and enqueues tasks; the worker executes
-// them against the namespace's Sharded trie in submission order and
-// encodes responses; the writer coalesces encoded responses into one
-// buffered flush per wakeup (pipelined requests cost ~one syscall per
-// burst in each direction). Backpressure is explicit: when reqQ is
-// full the reader rejects the frame with StatusBusy instead of
-// buffering without bound, and when outQ is full the pipeline stalls
-// until the client drains its socket. Rejections flow straight from
-// the reader to the writer, so they can overtake in-flight requests —
-// clients match responses by seq.
+// TCP flow control is the backpressure: the server reads at most one
+// buffer of a connection's frames ahead of its answers, the rest wait
+// in the socket, and the server blocks on the write when the client
+// stops reading. A client that floods its socket or stops reading
+// stalls its own connection and nobody else's. Per-connection memory is bounded by the two buffers,
+// one pending SET run and one scan response. This server never sends
+// StatusBusy.
 //
 // # Write batching
 //
-// When a pipeline burst contains a run of >= Config.BatchMin
-// consecutive SETs on one namespace, the worker applies them with one
-// StoreBatch call (sorted run, hinted descents) instead of per-key
-// Stores. Batching never reorders effects: the run is contiguous in
-// submission order and StoreBatch keeps last-wins semantics for
-// duplicate keys, so per-connection program order is preserved.
+// A run of at least 8 consecutive SETs on one namespace, capped at 64,
+// is applied with one StoreBatch call (sorted run, hinted descents)
+// instead of per-key Stores. SETs wait in the run until another
+// request, a full run or a flush applies them. Batching never reorders
+// effects: the run is contiguous in submission order and StoreBatch
+// keeps last-wins semantics for duplicate keys, so per-connection
+// program order is preserved.
 //
 // # Namespaces and metrics
 //
@@ -43,11 +47,11 @@
 // # Drain
 //
 // Drain (the SIGTERM path) closes the listener, then switches every
-// connection to drain mode: requests already accepted into reqQ
-// complete and their responses flush, while frames decoded after the
-// switch are rejected with StatusShutdown. Connections close when the
-// client disconnects or after the linger deadline, whichever comes
-// first; Drain returns when every connection is gone.
+// connection to drain mode: frames decoded before the switch complete
+// and their responses flush, while frames decoded after it are rejected
+// with StatusShutdown. Connections close when the client disconnects or
+// after the linger deadline, whichever comes first; Drain returns when
+// every connection is gone.
 package server
 
 import (
@@ -73,51 +77,20 @@ type Config struct {
 	// default). The balancer is always on: the server is the reshard
 	// subsystem's realistic consumer.
 	ReshardEvery time.Duration
-	// QueueDepth bounds each connection's request queue; a full queue
-	// rejects with StatusBusy. Default 128.
-	QueueDepth int
-	// OutDepth bounds each connection's encoded-response queue.
-	// Default 256.
-	OutDepth int
-	// BatchMin is the smallest run of consecutive same-namespace SETs
-	// the worker coalesces into one StoreBatch. Default 8; 0 selects
-	// the default, negative disables batching.
-	BatchMin int
-	// BurstWindow caps how many queued tasks the worker pulls per
-	// wakeup when hunting for batchable runs. Default 64.
-	BurstWindow int
 	// LatencyRate is the server-side WithLatencySampling rate per
 	// namespace. Default 1/64; negative disables sampling.
 	LatencyRate float64
 	// DrainLinger is how long a draining connection keeps answering
 	// late frames with StatusShutdown before closing. Default 250ms.
 	DrainLinger time.Duration
-	// MaxScanBytes caps one scan response's value payload so a single
-	// SCAN cannot approach the frame limit. Default 256 KiB.
-	MaxScanBytes int
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 128
-	}
-	if c.OutDepth <= 0 {
-		c.OutDepth = 256
-	}
-	if c.BatchMin == 0 {
-		c.BatchMin = 8
-	}
-	if c.BurstWindow <= 0 {
-		c.BurstWindow = 64
-	}
 	if c.LatencyRate == 0 {
 		c.LatencyRate = 1.0 / 64
 	}
 	if c.DrainLinger <= 0 {
 		c.DrainLinger = 250 * time.Millisecond
-	}
-	if c.MaxScanBytes <= 0 {
-		c.MaxScanBytes = 256 << 10
 	}
 	return c
 }
@@ -128,11 +101,10 @@ type Stats struct {
 	ConnsAccepted   uint64 // connections accepted
 	ConnsOpen       int64  // connections currently open
 	Frames          uint64 // request frames decoded
-	Enqueued        uint64 // frames accepted into a request queue
-	BusyRejects     uint64 // frames rejected with StatusBusy (queue full)
+	BusyRejects     uint64 // frames rejected with StatusBusy: always 0, this server sends none
 	ShutdownRejects uint64 // frames rejected with StatusShutdown (drain)
 	ProtoErrors     uint64 // malformed frames (connection closed after)
-	SetBatches      uint64 // StoreBatch calls issued by workers
+	SetBatches      uint64 // StoreBatch calls applying pipelined SET runs
 	BatchedSets     uint64 // SETs applied through those batches
 	Namespaces      int64  // namespaces created
 }
@@ -141,8 +113,6 @@ type serverStats struct {
 	connsAccepted   atomic.Uint64
 	connsOpen       atomic.Int64
 	frames          atomic.Uint64
-	enqueued        atomic.Uint64
-	busyRejects     atomic.Uint64
 	shutdownRejects atomic.Uint64
 	protoErrors     atomic.Uint64
 	setBatches      atomic.Uint64
@@ -155,8 +125,6 @@ func (s *serverStats) snapshot() Stats {
 		ConnsAccepted:   s.connsAccepted.Load(),
 		ConnsOpen:       s.connsOpen.Load(),
 		Frames:          s.frames.Load(),
-		Enqueued:        s.enqueued.Load(),
-		BusyRejects:     s.busyRejects.Load(),
 		ShutdownRejects: s.shutdownRejects.Load(),
 		ProtoErrors:     s.protoErrors.Load(),
 		SetBatches:      s.setBatches.Load(),
@@ -184,7 +152,7 @@ type Server struct {
 	ln       net.Listener
 	draining bool
 
-	wg sync.WaitGroup // accept loop + 3 goroutines per live connection
+	wg sync.WaitGroup // one per live connection
 }
 
 // New returns an idle server.
@@ -227,7 +195,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// startConn registers and launches one connection's goroutine trio.
+// startConn registers and launches one connection's goroutine.
 // Connections accepted after drain began are refused immediately.
 func (s *Server) startConn(nc net.Conn) {
 	c := newConn(s, nc)
@@ -241,10 +209,8 @@ func (s *Server) startConn(nc net.Conn) {
 	s.mu.Unlock()
 	s.stats.connsAccepted.Add(1)
 	s.stats.connsOpen.Add(1)
-	s.wg.Add(3)
-	go c.readLoop()
-	go c.workLoop()
-	go c.writeLoop()
+	s.wg.Add(1)
+	go c.serve()
 }
 
 // dropConn unregisters a finished connection.
@@ -255,10 +221,11 @@ func (s *Server) dropConn(c *conn) {
 	s.stats.connsOpen.Add(-1)
 }
 
-// Drain performs the graceful shutdown: stop accepting, let accepted
-// requests finish, answer late frames with StatusShutdown until the
-// configured linger elapses, then close every connection. It blocks
-// until all connection goroutines have exited and is idempotent.
+// Drain performs the graceful shutdown: stop accepting, let the
+// frames already decoded finish, answer later frames with
+// StatusShutdown until the configured linger elapses, then close every
+// connection. It blocks until all connection goroutines have exited
+// and is idempotent.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	already := s.draining

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -137,22 +138,13 @@ func TestServerNamespaceIsolation(t *testing.T) {
 	}
 }
 
-// TestServerPipelinedBatching drives a pipelined SET burst while the
-// worker is parked on a slow scan, so the queued run coalesces into
-// StoreBatch calls.
+// TestServerPipelinedBatching flushes a burst of SETs in one write.
+// The server reads the burst as one buffer of whole frames, so the run
+// coalesces into StoreBatch calls on the default Config.
 func TestServerPipelinedBatching(t *testing.T) {
-	srv, addr := start(t, server.Config{QueueDepth: 256, BatchMin: 4})
+	srv, addr := start(t, server.Config{})
 	c := dial(t, addr)
 	ns := []byte("default")
-	for k := uint64(0); k < 2048; k++ {
-		if err := c.Set(ns, k, []byte("prefill")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Occupy the worker, then flush a SET burst behind it.
-	if err := c.Send(&wire.Request{Seq: c.NextSeq(), Op: wire.OpScan, NS: ns, Limit: 2048}); err != nil {
-		t.Fatal(err)
-	}
 	const burst = 64
 	base := uint64(1 << 20)
 	for i := uint64(0); i < burst; i++ {
@@ -164,7 +156,7 @@ func TestServerPipelinedBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp wire.Response
-	for i := 0; i < burst+1; i++ {
+	for i := 0; i < burst; i++ {
 		if err := c.Recv(&resp); err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
@@ -178,15 +170,15 @@ func TestServerPipelinedBatching(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.SetBatches == 0 || st.BatchedSets < 4 {
+	if st.SetBatches == 0 || st.BatchedSets < 8 {
 		t.Errorf("no batching observed: %+v", st)
 	}
 }
 
-// TestServerDrain pins the graceful-drain contract: requests accepted
+// TestServerDrain pins the graceful-drain contract: frames decoded
 // before the drain switch complete with their real results, and frames
 // arriving after it get a clean SHUTDOWN status on a still-open
-// connection.
+// connection, every response in submission order.
 func TestServerDrain(t *testing.T) {
 	cases := []struct {
 		name string
@@ -198,7 +190,7 @@ func TestServerDrain(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, addr := start(t, server.Config{QueueDepth: 256, DrainLinger: 3 * time.Second})
+			srv, addr := start(t, server.Config{DrainLinger: 3 * time.Second})
 			c := dial(t, addr)
 			ns := []byte("default")
 			for k := uint64(0); k < 2048; k++ {
@@ -208,24 +200,28 @@ func TestServerDrain(t *testing.T) {
 			}
 			prefillFrames := srv.Stats().Frames
 
-			inFlight := 0
-			if tc.sets > 0 {
-				// Park the worker on a scan so the SETs are provably
-				// queued, not completed, when the drain flag flips.
-				if err := c.Send(&wire.Request{Seq: c.NextSeq(), Op: wire.OpScan, NS: ns, Limit: 2048}); err != nil {
+			var sent []uint32 // seqs after the prefill, in submission order
+			send := func(req wire.Request) {
+				req.Seq = c.NextSeq()
+				sent = append(sent, req.Seq)
+				if err := c.Send(&req); err != nil {
 					t.Fatal(err)
 				}
+			}
+			inFlight := 0
+			if tc.sets > 0 {
+				// A pipelined scan and SET run, every frame decoded before
+				// the drain flag flips.
+				send(wire.Request{Op: wire.OpScan, NS: ns, Limit: 2048})
 				for i := 0; i < tc.sets; i++ {
-					if err := c.Send(&wire.Request{Seq: c.NextSeq(), Op: wire.OpSet, NS: ns, Key: uint64(1<<20 + i), Val: []byte("inflight")}); err != nil {
-						t.Fatal(err)
-					}
+					send(wire.Request{Op: wire.OpSet, NS: ns, Key: uint64(1<<20 + i), Val: []byte("inflight")})
 				}
 				if err := c.Flush(); err != nil {
 					t.Fatal(err)
 				}
 				inFlight = tc.sets + 1
 				want := prefillFrames + uint64(inFlight)
-				waitFor(t, "requests enqueued", func() bool { return srv.Stats().Enqueued >= want })
+				waitFor(t, "requests read", func() bool { return srv.Stats().Frames >= want })
 			}
 
 			drained := make(chan struct{})
@@ -236,38 +232,26 @@ func TestServerDrain(t *testing.T) {
 			// after it (linger is 3s, so there is no racing deadline).
 			time.Sleep(100 * time.Millisecond)
 
-			lateSeqs := make(map[uint32]bool)
 			for i := 0; i < tc.late; i++ {
-				seq := c.NextSeq()
-				lateSeqs[seq] = true
-				if err := c.Send(&wire.Request{Seq: seq, Op: wire.OpGet, NS: ns, Key: 1}); err != nil {
-					t.Fatal(err)
-				}
+				send(wire.Request{Op: wire.OpGet, NS: ns, Key: 1})
 			}
 			if err := c.Flush(); err != nil {
 				t.Fatal(err)
 			}
 
-			okResponses, shutdowns := 0, 0
 			var resp wire.Response
-			for i := 0; i < inFlight+tc.late; i++ {
+			for i, seq := range sent {
 				if err := c.Recv(&resp); err != nil {
 					t.Fatalf("recv %d: %v", i, err)
 				}
-				switch {
-				case lateSeqs[resp.Seq]:
-					if resp.Status != wire.StatusShutdown {
-						t.Fatalf("late seq %d: status %v, want SHUTDOWN", resp.Seq, resp.Status)
-					}
-					shutdowns++
-				case resp.Status == wire.StatusOK:
-					okResponses++
-				default:
-					t.Fatalf("in-flight seq %d: status %v (%s)", resp.Seq, resp.Status, resp.Val)
+				want := wire.StatusOK
+				if i >= inFlight {
+					want = wire.StatusShutdown
 				}
-			}
-			if okResponses != inFlight || shutdowns != tc.late {
-				t.Fatalf("ok=%d shutdown=%d, want %d/%d", okResponses, shutdowns, inFlight, tc.late)
+				if resp.Seq != seq || resp.Status != want {
+					t.Fatalf("recv %d: seq %d status %v (%s), want seq %d status %v",
+						i, resp.Seq, resp.Status, resp.Val, seq, want)
+				}
 			}
 			// Closing our end lets the drain complete before the linger.
 			c.Close()
@@ -286,89 +270,144 @@ func TestServerDrain(t *testing.T) {
 	}
 }
 
-// TestServerBusyBackpressure floods a depth-1 queue behind a slow scan
-// and expects BUSY rejections instead of unbounded buffering — and a
-// connection that still works afterwards.
+// TestServerBusyBackpressure pins the per-connection bounds that
+// replaced the request queue. Each idle connection costs exactly one
+// goroutine. A pipelined flood written before any response is read is
+// answered in full and in submission order, with no BUSY: TCP flow
+// control, not rejection, holds the client back. The connection keeps
+// serving afterwards.
 func TestServerBusyBackpressure(t *testing.T) {
-	srv, addr := start(t, server.Config{QueueDepth: 1, BurstWindow: 1, BatchMin: -1})
+	srv, addr := start(t, server.Config{})
+
+	const idle = 32
+	base := runtime.NumGoroutine()
+	for i := 0; i < idle; i++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+	}
+	waitFor(t, "idle connections registered", func() bool { return srv.Stats().ConnsOpen == idle })
+	// Registration precedes the goroutine's start; the count must then
+	// settle at exactly one goroutine per connection.
+	waitFor(t, fmt.Sprintf("%d goroutines for %d idle connections", idle, idle), func() bool {
+		return runtime.NumGoroutine()-base == idle
+	})
+
 	c := dial(t, addr)
 	ns := []byte("default")
-	for k := uint64(0); k < 2048; k++ {
-		if err := c.Set(ns, k, []byte("prefill")); err != nil {
-			t.Fatal(err)
-		}
+	// 2048 frames, far past the old 128-deep request queue: blocks of 16
+	// SETs, 16 GETs, 16 DELs and 16 GETs over the block's 16 keys. The
+	// statuses pin execution order; the seqs pin response order.
+	const flood = 2048
+	type expect struct {
+		seq    uint32
+		key    uint64
+		status wire.Status
 	}
-	if err := c.Send(&wire.Request{Seq: c.NextSeq(), Op: wire.OpScan, NS: ns, Limit: 2048}); err != nil {
-		t.Fatal(err)
-	}
-	const flood = 16
+	want := make([]expect, 0, flood)
 	for i := 0; i < flood; i++ {
-		if err := c.Send(&wire.Request{Seq: c.NextSeq(), Op: wire.OpGet, NS: ns, Key: 1}); err != nil {
+		key := uint64(i/64*16 + i%16)
+		req := wire.Request{Seq: c.NextSeq(), NS: ns, Key: key}
+		st := wire.StatusOK
+		switch i % 64 / 16 {
+		case 0:
+			req.Op, req.Val = wire.OpSet, []byte(fmt.Sprintf("v%d", key))
+		case 1:
+			req.Op = wire.OpGet
+		case 2:
+			req.Op = wire.OpDel
+		default:
+			req.Op, st = wire.OpGet, wire.StatusNotFound
+		}
+		if err := c.Send(&req); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, expect{req.Seq, key, st})
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	busy, ok := 0, 0
 	var resp wire.Response
-	for i := 0; i < flood+1; i++ {
+	for i, w := range want {
 		if err := c.Recv(&resp); err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
-		switch resp.Status {
-		case wire.StatusBusy:
-			busy++
-		case wire.StatusOK, wire.StatusNotFound:
-			ok++
-		default:
-			t.Fatalf("recv %d: status %v", i, resp.Status)
+		if resp.Seq != w.seq || resp.Status != w.status {
+			t.Fatalf("recv %d: seq %d status %v (%s), want seq %d status %v", i, resp.Seq, resp.Status, resp.Val, w.seq, w.status)
+		}
+		if resp.Op == wire.OpGet && resp.Status == wire.StatusOK && string(resp.Val) != fmt.Sprintf("v%d", w.key) {
+			t.Fatalf("recv %d: GET %d = %q", i, w.key, resp.Val)
 		}
 	}
-	if busy == 0 {
-		t.Fatalf("no BUSY rejections across %d flooded requests", flood)
+	if got := srv.Stats().BusyRejects; got != 0 {
+		t.Errorf("busy rejects = %d, want 0", got)
 	}
-	if got := srv.Stats().BusyRejects; got != uint64(busy) {
-		t.Errorf("busy rejects = %d, client saw %d", got, busy)
+	// The connection keeps serving after the flood.
+	if err := c.Set(ns, 7, []byte("after")); err != nil {
+		t.Fatal(err)
 	}
-	// The connection survives rejection.
-	if v, okv, err := c.Get(ns, 7); err != nil || !okv || string(v) != "prefill" {
-		t.Fatalf("get after flood: %q ok=%v err=%v", v, okv, err)
+	if v, ok, err := c.Get(ns, 7); err != nil || !ok || string(v) != "after" {
+		t.Fatalf("get after flood: %q ok=%v err=%v", v, ok, err)
 	}
 }
 
 // TestServerMalformedFrame sends garbage and expects one ERR response,
 // a closed connection, and a protocol-error count — not a panic.
+// Requests pipelined ahead of the garbage are answered first, in
+// submission order, with the ERR last.
 func TestServerMalformedFrame(t *testing.T) {
-	srv, addr := start(t, server.Config{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, lead := range []int{0, 8} {
+		t.Run(fmt.Sprintf("lead%d", lead), func(t *testing.T) {
+			srv, addr := start(t, server.Config{})
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			var frames []byte
+			for i := 0; i < lead; i++ {
+				frames, err = wire.AppendRequest(frames, &wire.Request{Seq: uint32(i + 1), Op: wire.OpGet, NS: []byte("ns"), Key: uint64(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A framed body with an unknown opcode.
+			body := []byte{0, 0, 0, byte(lead + 1), 99, 0} // seq=lead+1, op=99, nsLen=0
+			frames = binary.BigEndian.AppendUint32(frames, uint32(len(body)))
+			frames = append(frames, body...)
+			if _, err := nc.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			br := bytes.NewBuffer(nil)
+			if _, err := io.Copy(br, nc); err != nil {
+				t.Fatal(err) // server closes the conn after replying
+			}
+			rd := bytes.NewReader(br.Bytes())
+			var resp wire.Response
+			for i := 0; i <= lead; i++ {
+				bodyOut, err := wire.ReadFrame(rd, nil)
+				if err != nil {
+					t.Fatalf("response %d: %v", i, err)
+				}
+				if err := wire.DecodeResponse(bodyOut, &resp); err != nil {
+					t.Fatal(err)
+				}
+				want := wire.StatusNotFound
+				if i == lead {
+					want = wire.StatusErr
+				}
+				if resp.Seq != uint32(i+1) || resp.Status != want {
+					t.Fatalf("response %d: seq %d status %v, want seq %d status %v", i, resp.Seq, resp.Status, i+1, want)
+				}
+			}
+			if _, err := wire.ReadFrame(rd, nil); err != io.EOF {
+				t.Fatalf("after ERR: %v, want EOF", err)
+			}
+			waitFor(t, "protocol error count", func() bool { return srv.Stats().ProtoErrors == 1 })
+		})
 	}
-	defer nc.Close()
-	// A framed body with an unknown opcode.
-	body := []byte{0, 0, 0, 1, 99, 0} // seq=1, op=99, nsLen=0
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	frame = append(frame, body...)
-	if _, err := nc.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	br := bytes.NewBuffer(nil)
-	if _, err := io.Copy(br, nc); err != nil {
-		t.Fatal(err) // server closes the conn after replying
-	}
-	bodyOut, err := wire.ReadFrame(bytes.NewReader(br.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.DecodeResponse(bodyOut, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusErr {
-		t.Fatalf("status %v, want ERR", resp.Status)
-	}
-	waitFor(t, "protocol error count", func() bool { return srv.Stats().ProtoErrors == 1 })
 }
 
 // TestServerChurnAutoReshard is the race-lane torture: connections
@@ -379,7 +418,6 @@ func TestServerChurnAutoReshard(t *testing.T) {
 		Shards:       1,
 		MaxShards:    32,
 		ReshardEvery: 2 * time.Millisecond,
-		QueueDepth:   64,
 	})
 	const workers = 8
 	rounds := testenv.Scale(6)

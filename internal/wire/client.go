@@ -10,9 +10,9 @@ import (
 // Client is a pipelining protocol client over one connection. It is
 // deliberately small: Send buffers an encoded request, Flush pushes
 // the buffer to the socket, Recv decodes the next response in arrival
-// order. Callers that pipeline keep a window of in-flight seqs and
-// match responses to requests by Response.Seq — rejections (Busy,
-// Shutdown, Err) may overtake successful requests.
+// order. skiptried answers in submission order, but the protocol does
+// not promise it, so callers that pipeline keep a window of in-flight
+// seqs and match responses to requests by Response.Seq.
 //
 // A Client is not safe for concurrent use; drive one per goroutine.
 // Responses alias an internal read buffer and are valid until the

@@ -32,11 +32,10 @@
 // mlen:u32 msg:bytes — a human-readable error.
 //
 // Requests carry a client-chosen sequence number echoed verbatim in
-// the response. Successful requests on one connection complete in
-// submission order; rejections (Busy under backpressure, Shutdown
-// during drain, Err on malformed payloads) may overtake in-flight
-// requests, so pipelining clients match responses by seq, not arrival
-// order.
+// the response. skiptried answers every request on one connection in
+// submission order, rejections (Shutdown during drain, Err on a
+// malformed frame) included. The protocol itself does not promise
+// arrival order, so pipelining clients still match responses by seq.
 //
 // Decoded requests and responses alias the frame buffer (zero-copy):
 // namespace, value and entry slices are only valid until the buffer is
@@ -92,7 +91,7 @@ type Status uint8
 const (
 	StatusOK       Status = 0 // request applied; payload per opcode
 	StatusNotFound Status = 1 // GET/DEL on an absent key; empty payload
-	StatusBusy     Status = 2 // request queue full (backpressure); retry
+	StatusBusy     Status = 2 // server over an explicit cap; retry (skiptried sends none)
 	StatusShutdown Status = 3 // server draining; connection is closing
 	StatusErr      Status = 4 // malformed or unsupported request
 	statusMax             = StatusErr
@@ -257,15 +256,20 @@ func patchFrame(dst []byte, start int) ([]byte, error) {
 }
 
 // ReadFrame reads one length-prefixed frame body from r into buf
-// (grown as needed) and returns the body slice. io.EOF is returned
-// untouched at a clean frame boundary; a partial frame yields
-// io.ErrUnexpectedEOF.
+// (grown as needed) and returns the body slice. The length prefix is
+// read into buf too, so a caller that passes back the previous body's
+// full capacity reads every frame that fits without allocating.
+// io.EOF is returned untouched at a clean frame boundary; a partial
+// frame yields io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}

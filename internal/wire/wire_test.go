@@ -172,3 +172,28 @@ func TestReadFrameLimits(t *testing.T) {
 		t.Fatalf("reused-buffer decode: %v %+v", err, req)
 	}
 }
+
+// TestReadFrameReuseNoAllocs pins the server loop's and Client.Recv's
+// steady state: with the previous body's capacity passed back, reading
+// a frame allocates nothing, length prefix included.
+func TestReadFrameReuseNoAllocs(t *testing.T) {
+	frame, err := AppendRequest(nil, &Request{Seq: 1, Op: OpSet, NS: []byte("ns"), Key: 7, Val: []byte("value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(frame)
+	buf, err := ReadFrame(rd, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(frame)
+		body, err := ReadFrame(rd, buf[:cap(buf)])
+		if err != nil || len(body) != len(frame)-4 {
+			t.Fatalf("ReadFrame: %d bytes, %v", len(body), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadFrame with a reused buffer: %v allocs per call, want 0", allocs)
+	}
+}
