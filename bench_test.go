@@ -1,8 +1,8 @@
-// Benchmarks regenerating the reproduction experiments of DESIGN.md
-// (T1-T8, F1), one benchmark function per experiment id, plus standard
-// micro-benchmarks of the public API. cmd/skipbench runs the same
-// experiment code with larger parameters and prints full tables;
-// EXPERIMENTS.md records a reference run.
+// Benchmarks regenerating the reproduction experiments listed in
+// README.md, "Reproduction experiments (T1-T8, F1)", one benchmark
+// function per experiment id, plus standard micro-benchmarks of the
+// public API. cmd/skipbench runs the same experiment code with larger
+// parameters and prints full tables.
 package skiptrie
 
 import (

@@ -1,6 +1,7 @@
-// Command skipbench regenerates the reproduction experiments of DESIGN.md
-// (T1-T8, F1): the measurable claims of "The SkipTrie: Low-Depth
-// Concurrent Search without Rebalancing" (Oshman & Shavit, PODC 2013).
+// Command skipbench regenerates the reproduction experiments listed in
+// README.md, "Reproduction experiments (T1-T8, F1)": the measurable
+// claims of "The SkipTrie: Low-Depth Concurrent Search without
+// Rebalancing" (Oshman & Shavit, PODC 2013).
 //
 // Usage:
 //
@@ -8,8 +9,7 @@
 //	          [-queries 20000] [-dur 150ms] [-threads 1,2,4,8]
 //	          [-shards 1,2,4,8,16]
 //
-// Each experiment prints one table; EXPERIMENTS.md archives a reference
-// run and compares it against the paper's claims.
+// Each experiment prints one table headed by the paper's claim it checks.
 package main
 
 import (

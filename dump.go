@@ -199,7 +199,12 @@ func dumpParts[V any](src *shard.Snap[V], w io.Writer, kind dump.Kind, h *TraceH
 
 // appendKV appends one key/value record using codec.
 func appendKV[V any](codec ValueCodec[V], dst []byte, key uint64, val V) ([]byte, error) {
-	dst = binary.LittleEndian.AppendUint64(dst, key)
+	return appendValue(codec, binary.LittleEndian.AppendUint64(dst, key), val)
+}
+
+// appendValue appends val, encoded by codec, behind its uint32 length:
+// the value half of a KV record and of a diff put.
+func appendValue[V any](codec ValueCodec[V], dst []byte, val V) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	out, err := codec.AppendValue(dst, val)
@@ -208,6 +213,22 @@ func appendKV[V any](codec ValueCodec[V], dst []byte, key uint64, val V) ([]byte
 	}
 	binary.LittleEndian.PutUint32(out[mark:], uint32(len(out)-mark-4))
 	return out, nil
+}
+
+// cutValue decodes the length-prefixed value at the front of p (written
+// by appendValue) and returns the rest of p; rec names the record kind
+// in errors.
+func cutValue[V any](codec ValueCodec[V], p []byte, rec string) (V, []byte, error) {
+	var zero V
+	if len(p) < 4 {
+		return zero, nil, fmt.Errorf("%w: truncated %s in block", ErrTornDump, rec)
+	}
+	n := int(binary.LittleEndian.Uint32(p))
+	if len(p) < 4+n {
+		return zero, nil, fmt.Errorf("%w: %s value overruns block", ErrTornDump, rec)
+	}
+	v, err := codec.DecodeValue(p[4 : 4+n])
+	return v, p[4+n:], err
 }
 
 // Dump writes the snapshot's entire pinned view to w as a checksummed
@@ -272,51 +293,63 @@ func openRestore(r io.Reader, kind dump.Kind, width uint8) (*dump.Reader, error)
 	return dr, nil
 }
 
-// restoreKV drains a KindKV stream into store, one batch per block.
-func restoreKV[V any](r io.Reader, codec ValueCodec[V], width uint8, h *TraceHooks,
-	store func(keys []uint64, vals []V)) (uint64, error) {
-	dr, err := openRestore(r, dump.KindKV, width)
+// drainBlocks opens a stream of the given kind and hands each verified
+// block to apply, which decodes and applies its records and returns how
+// many it applied. At EOF the trailer's count, in units of noun, must
+// match the records applied.
+func drainBlocks(r io.Reader, kind dump.Kind, width uint8, noun string,
+	apply func(p []byte) (uint64, error)) (uint64, error) {
+	dr, err := openRestore(r, kind, width)
 	if err != nil {
 		return 0, err
 	}
 	var total uint64
-	var keys []uint64
-	var vals []V
-	block := 0
 	for {
 		p, err := dr.Next()
 		if err == io.EOF {
 			if total != dr.Entries() {
-				return total, fmt.Errorf("%w: trailer counts %d entries, stream held %d", ErrTornDump, dr.Entries(), total)
+				return total, fmt.Errorf("%w: trailer counts %d %s, stream held %d", ErrTornDump, dr.Entries(), noun, total)
 			}
 			return total, nil
 		}
 		if err != nil {
 			return total, err
 		}
+		n, err := apply(p)
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+// restoreKV drains a KindKV stream into store, one batch per block; a
+// block with a bad record applies none of it.
+func restoreKV[V any](r io.Reader, codec ValueCodec[V], width uint8, h *TraceHooks,
+	store func(keys []uint64, vals []V)) (uint64, error) {
+	var keys []uint64
+	var vals []V
+	block := 0
+	return drainBlocks(r, dump.KindKV, width, "entries", func(p []byte) (uint64, error) {
 		keys, vals = keys[:0], vals[:0]
 		for len(p) > 0 {
-			if len(p) < 12 {
-				return total, fmt.Errorf("%w: truncated record in block", ErrTornDump)
+			if len(p) < 8 {
+				return 0, fmt.Errorf("%w: truncated record in block", ErrTornDump)
 			}
 			key := binary.LittleEndian.Uint64(p)
-			vlen := int(binary.LittleEndian.Uint32(p[8:]))
-			if len(p) < 12+vlen {
-				return total, fmt.Errorf("%w: record value overruns block", ErrTornDump)
-			}
-			v, err := codec.DecodeValue(p[12 : 12+vlen])
+			v, rest, err := cutValue(codec, p[8:], "record")
 			if err != nil {
-				return total, err
+				return 0, err
 			}
 			keys = append(keys, key)
 			vals = append(vals, v)
-			p = p[12+vlen:]
+			p = rest
 		}
 		store(keys, vals)
-		total += uint64(len(keys))
 		h.emitDump(true, block, 0, uint64(len(keys)))
 		block++
-	}
+		return uint64(len(keys)), nil
+	})
 }
 
 // Restore loads a KindKV dump stream into the empty map and returns
@@ -343,37 +376,25 @@ func (s *SkipTrie) Restore(r io.Reader) (uint64, error) {
 	if s.Len() != 0 {
 		return 0, ErrRestoreNonEmpty
 	}
-	dr, err := openRestore(r, dump.KindSet, s.e.t.Width())
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
 	var keys []uint64
 	block := 0
-	for {
-		p, err := dr.Next()
-		if err == io.EOF {
-			if total != dr.Entries() {
-				return total, fmt.Errorf("%w: trailer counts %d entries, stream held %d", ErrTornDump, dr.Entries(), total)
-			}
-			s.e.m.recordRestore(total)
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
+	n, err := drainBlocks(r, dump.KindSet, s.e.t.Width(), "entries", func(p []byte) (uint64, error) {
 		if len(p)%8 != 0 {
-			return total, fmt.Errorf("%w: truncated record in block", ErrTornDump)
+			return 0, fmt.Errorf("%w: truncated record in block", ErrTornDump)
 		}
 		keys = keys[:0]
 		for ; len(p) > 0; p = p[8:] {
 			keys = append(keys, binary.LittleEndian.Uint64(p))
 		}
 		s.AddBatch(keys)
-		total += uint64(len(keys))
 		s.e.h.emitDump(true, block, 0, uint64(len(keys)))
 		block++
+		return uint64(len(keys)), nil
+	})
+	if err == nil {
+		s.e.m.recordRestore(n)
 	}
+	return n, err
 }
 
 // Diff record kinds on the wire.
@@ -463,15 +484,11 @@ func (c *BackupCursor[V]) DumpDiff(w io.Writer) (uint64, error) {
 	err = c.base.Diff(next, func(e DiffEvent[V]) bool {
 		buf = binary.LittleEndian.AppendUint64(buf, e.Key)
 		if e.Kind == DiffPut {
-			buf = append(buf, diffRecPut)
-			mark := len(buf)
-			buf = append(buf, 0, 0, 0, 0)
-			out, err := c.codec.AppendValue(buf, e.Val)
+			out, err := appendValue(c.codec, append(buf, diffRecPut), e.Val)
 			if err != nil {
 				encErr = err
 				return false
 			}
-			binary.LittleEndian.PutUint32(out[mark:], uint32(len(out)-mark-4))
 			buf = out
 		} else {
 			buf = append(buf, diffRecDelete)
@@ -519,28 +536,15 @@ func (c *BackupCursor[V]) Close() bool {
 	return true
 }
 
-// applyDiffStream drains a KindKVDiff stream into put/del.
+// applyDiffStream drains a KindKVDiff stream into put/del, applying
+// each event as it is decoded.
 func applyDiffStream[V any](r io.Reader, codec ValueCodec[V], width uint8,
 	put func(key uint64, val V), del func(key uint64)) (uint64, error) {
-	dr, err := openRestore(r, dump.KindKVDiff, width)
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
-	for {
-		p, err := dr.Next()
-		if err == io.EOF {
-			if total != dr.Entries() {
-				return total, fmt.Errorf("%w: trailer counts %d events, stream held %d", ErrTornDump, dr.Entries(), total)
-			}
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
+	return drainBlocks(r, dump.KindKVDiff, width, "events", func(p []byte) (uint64, error) {
+		var n uint64
 		for len(p) > 0 {
 			if len(p) < 9 {
-				return total, fmt.Errorf("%w: truncated event in block", ErrTornDump)
+				return n, fmt.Errorf("%w: truncated event in block", ErrTornDump)
 			}
 			key := binary.LittleEndian.Uint64(p)
 			kind := p[8]
@@ -549,25 +553,19 @@ func applyDiffStream[V any](r io.Reader, codec ValueCodec[V], width uint8,
 			case diffRecDelete:
 				del(key)
 			case diffRecPut:
-				if len(p) < 4 {
-					return total, fmt.Errorf("%w: truncated event in block", ErrTornDump)
-				}
-				vlen := int(binary.LittleEndian.Uint32(p))
-				if len(p) < 4+vlen {
-					return total, fmt.Errorf("%w: event value overruns block", ErrTornDump)
-				}
-				v, err := codec.DecodeValue(p[4 : 4+vlen])
+				v, rest, err := cutValue(codec, p, "event")
 				if err != nil {
-					return total, err
+					return n, err
 				}
 				put(key, v)
-				p = p[4+vlen:]
+				p = rest
 			default:
-				return total, fmt.Errorf("%w: unknown event kind %d", ErrTornDump, kind)
+				return n, fmt.Errorf("%w: unknown event kind %d", ErrTornDump, kind)
 			}
-			total++
+			n++
 		}
-	}
+		return n, nil
+	})
 }
 
 // ApplyDiff applies a KindKVDiff stream (written by DumpDiff) to the

@@ -9,10 +9,11 @@
 // (capped at MaxHeight), and searches always start from the head: cost
 // Θ(log m) regardless of the universe width.
 //
-// Node links use the same dcss.Atom representation as the SkipTrie's lists
-// (pointer and mark in one word, witness-based CAS), so step-count and
-// wall-clock comparisons between the two structures measure the algorithm,
-// not the memory layout.
+// Node links are dcss.Atom cells (pointer and mark boxed in one cell,
+// witness-based CAS), while the SkipTrie's skiplist links are plain
+// pointers with marker nodes: step counts compare the two algorithms, but
+// wall-clock comparisons also carry the extra dependent load per hop the
+// boxed cell costs here.
 package cskiplist
 
 import (

@@ -53,8 +53,10 @@ type Config struct {
 	// Width < 64 (a 64-bit universe already spans the whole key space)
 	// and Base+2^Width must not overflow; New panics otherwise.
 	Base uint64
-	// DisableDCSS replaces every DCSS with a plain CAS, the degraded mode
-	// the paper proves remains linearizable and lock-free (T7 ablation).
+	// DisableDCSS replaces each DCSS — top-level prev updates in the
+	// skiplist and pointer swings in the x-fast trie — with a plain CAS,
+	// the degraded mode the paper proves remains linearizable and
+	// lock-free (T7 ablation).
 	DisableDCSS bool
 	// Repair selects the top-level prev-pointer discipline (T8 ablation).
 	Repair skiplist.RepairMode

@@ -24,7 +24,7 @@ func TestDCSSExactlyOneWinner(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if _, ok := x.DCSS(w, 1000+i, func() bool { return g.Holds(gw) }); ok {
+				if _, ok := x.DCSS(w, 1000+i, func() bool { return holds(&g, gw) }); ok {
 					mu.Lock()
 					wins++
 					mu.Unlock()
@@ -57,7 +57,7 @@ func TestDCSSAllFailWhenGuardDead(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, ok := x.DCSS(w, 100+i, func() bool { return g.Holds(gw) }); ok {
+			if _, ok := x.DCSS(w, 100+i, func() bool { return holds(&g, gw) }); ok {
 				t.Errorf("DCSS with dead guard succeeded")
 			}
 		}(i)
@@ -98,7 +98,7 @@ func TestMixedCASAndDCSSContention(t *testing.T) {
 				if i%2 == 0 {
 					_, ok = x.CompareAndSwap(w, v+1)
 				} else {
-					_, ok = x.DCSS(w, v+1, func() bool { return alive.Holds(aw) })
+					_, ok = x.DCSS(w, v+1, func() bool { return holds(&alive, aw) })
 				}
 				if ok {
 					local++

@@ -18,19 +18,21 @@
 // the Atom still holds the exact cell that was loaded, which is strictly
 // stronger than value equality and therefore immune to ABA (Go's garbage
 // collector guarantees cell addresses are not reused while reachable).
-// For the SkipTrie this strengthening is sound: every guard in the paper has
-// the form "node n is still unmarked and has succ s", and witness identity
-// implies it; a witness mismatch merely forces a retry, which the paper's
-// analysis already accounts for (it proves the structure remains linearizable
-// and lock-free even when DCSS degrades to CAS).
+// For the SkipTrie this strengthening is sound: a witness mismatch merely
+// forces a retry, which the paper's analysis already accounts for (it
+// proves the structure remains linearizable and lock-free even when DCSS
+// degrades to CAS).
 //
 // # Guard discipline
 //
 // Guards must be side-effect-free and must not — directly or through
 // helping — read the Atom the DCSS targets, or descriptor helping could
-// recurse forever. In this codebase guards only read (a) plain atomic flags
-// (tower stop flags) or (b) skiplist succ Atoms whose own descriptors carry
-// type-(a) guards, so helping depth is bounded by two.
+// recurse forever. The SkipTrie has two DCSS sites: a top-level node's
+// prev pointer, guarded by "left.next is still the node", and an x-fast
+// trie node's pointer pair, guarded by "the new target is unmarked".
+// Both guards read plain atomic pointers (skiplist next links), never an
+// Atom, so a helper never meets a second descriptor while evaluating a
+// guard: helping depth is one.
 package dcss
 
 import "sync/atomic"
@@ -101,15 +103,6 @@ func (a *Atom[T]) Store(v T) {
 	a.p.Store(&cell[T]{val: v})
 }
 
-// Reset returns the Atom to its never-written zero state without
-// allocating. Like Store it is only legal while the Atom is unshared —
-// initialization, or scrubbing an object that provably never escaped
-// to another goroutine (the skiplist's node recycling) — since it
-// would clobber an in-flight descriptor on a shared Atom.
-func (a *Atom[T]) Reset() {
-	a.p.Store(nil)
-}
-
 // CompareAndSwap installs new iff the Atom still holds the witnessed cell.
 // On success it returns a Witness for the new value. If a DCSS descriptor
 // is installed over the witnessed cell, it is helped to completion and the
@@ -158,23 +151,6 @@ func (a *Atom[T]) DCSS(w Witness[T], new T, guard func() bool) (Witness[T], bool
 		return Witness[T]{d.newc}, true
 	}
 	return Witness[T]{}, false
-}
-
-// Holds reports whether the Atom currently holds exactly the witnessed
-// cell, resolving any in-flight descriptor first. It is the building block
-// for DCSS guards of the form "Y still holds oldY".
-func (a *Atom[T]) Holds(w Witness[T]) bool {
-	for {
-		c := a.p.Load()
-		if c == w.c {
-			return true
-		}
-		if c != nil && c.d != nil {
-			c.d.help()
-			continue
-		}
-		return false
-	}
 }
 
 // help drives the descriptor to completion: decide the guard once (the

@@ -78,7 +78,7 @@ func TestDCSSGuardTrue(t *testing.T) {
 	y.Store(10)
 	_, wx := x.Load()
 	_, wy := y.Load()
-	if _, ok := x.DCSS(wx, 2, func() bool { return y.Holds(wy) }); !ok {
+	if _, ok := x.DCSS(wx, 2, func() bool { return holds(&y, wy) }); !ok {
 		t.Fatal("DCSS with valid guard failed")
 	}
 	if got := x.Value(); got != 2 {
@@ -96,7 +96,7 @@ func TestDCSSGuardFalse(t *testing.T) {
 	if _, ok := y.CompareAndSwap(wy, 11); !ok {
 		t.Fatal("setup CAS failed")
 	}
-	if _, ok := x.DCSS(wx, 2, func() bool { return y.Holds(wy) }); ok {
+	if _, ok := x.DCSS(wx, 2, func() bool { return holds(&y, wy) }); ok {
 		t.Fatal("DCSS with invalid guard succeeded")
 	}
 	if got := x.Value(); got != 1 {
@@ -121,7 +121,7 @@ func TestDCSSStaleWitness(t *testing.T) {
 }
 
 func TestHoldsResolvesDescriptor(t *testing.T) {
-	// A failing descriptor left mid-flight must be resolved by Holds/Load so
+	// A failing descriptor left mid-flight must be resolved by Load so
 	// the pre-DCSS witness remains current.
 	var x Atom[int]
 	x.Store(5)
@@ -207,7 +207,7 @@ func TestDCSSAtomicityStress(t *testing.T) {
 						continue // wait for open
 					}
 					xv, wx := x.Load()
-					if _, ok := x.DCSS(wx, xv+1, func() bool { return y.Holds(wy) }); ok {
+					if _, ok := x.DCSS(wx, xv+1, func() bool { return holds(&y, wy) }); ok {
 						succ.Add(1)
 						break
 					}
@@ -275,7 +275,7 @@ func TestDCSSNeverLeavesDescriptorVisible(t *testing.T) {
 			for n := 0; n < 3000; n++ {
 				xv, wx := x.Load()
 				_, wy := y.Load()
-				x.DCSS(wx, xv+1, func() bool { return y.Holds(wy) })
+				x.DCSS(wx, xv+1, func() bool { return holds(&y, wy) })
 				yv, wyy := y.Load()
 				y.CompareAndSwap(wyy, yv+1)
 			}
@@ -302,4 +302,12 @@ func TestWitnessFromDCSSChains(t *testing.T) {
 	if got := x.Value(); got != 3 {
 		t.Fatalf("x = %d, want 3", got)
 	}
+}
+
+// holds reports whether a still holds exactly the witnessed cell (Load
+// resolves any in-flight descriptor first): the "Y = oldY" guard these
+// tests hand to DCSS.
+func holds[T any](a *Atom[T], w Witness[T]) bool {
+	_, cur := a.Load()
+	return cur == w
 }

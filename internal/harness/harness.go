@@ -1,7 +1,8 @@
-// Package harness runs the reproduction experiments (DESIGN.md T1-T8/F1)
-// over the SkipTrie and its baselines, producing printable tables. It is
-// shared by cmd/skipbench and the root bench_test.go so the benchmark
-// numbers and the CLI's tables come from the same code.
+// Package harness runs the reproduction experiments (README.md,
+// "Reproduction experiments (T1-T8, F1)") over the SkipTrie and its
+// baselines, producing printable tables. It is shared by cmd/skipbench
+// and the root bench_test.go so the benchmark numbers and the CLI's
+// tables come from the same code.
 package harness
 
 import (

@@ -302,14 +302,10 @@ func (l *Topology) sweepRetired(c *stats.Op) {
 }
 
 // reclaimRoot performs the deferred physical removal of a retained
-// level-0 node: the mark + unlink an ordinary delete would have done
+// level-0 node: the removeLevel an ordinary delete would have done
 // inline, positioned by a full descent (walking level 0 from its head
 // would cost O(m) per reclaim). The length was already adjusted when
 // the delete committed; only the node accounting moves here.
 func (l *Topology) reclaimRoot(n *Node, c *stats.Op) {
-	br := l.PredecessorBracket(n.key, nil, c)
-	if l.markNode(n, br.Left, c) {
-		l.nodes.Add(-1)
-		l.search(target{key: n.key}, br.Left, c)
-	}
+	l.removeLevel(n, l.PredecessorBracket(n.key, nil, c).Left, c)
 }

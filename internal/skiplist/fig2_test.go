@@ -64,8 +64,7 @@ func TestFigure2BackwardGap(t *testing.T) {
 	chain := 0
 	n := node7.Prev()
 	for n != node7 {
-		s, _ := n.LoadSucc()
-		n = s.Next
+		n, _ = n.Next()
 		chain++
 	}
 	if chain != 4 { // 1->2->3->5->7

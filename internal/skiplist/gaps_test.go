@@ -183,14 +183,14 @@ func TestNodeAccessors(t *testing.T) {
 	if n.Back() == nil {
 		t.Fatal("Back is nil")
 	}
-	s, w := n.LoadSucc()
-	if s.Marked || !n.SuccHolds(w) {
-		t.Fatal("fresh node marked or witness stale")
+	next, marked := n.Next()
+	if marked || !next.IsTail() || n.Marked() {
+		t.Fatal("fresh node marked or not linked to the tail")
 	}
-	// Any write to succ invalidates the witness.
+	// Deletion marks the node and freezes its successor.
 	l.Delete(9, nil, nil)
-	if n.SuccHolds(w) {
-		t.Fatal("witness survived deletion")
+	if frozen, marked := n.Next(); !marked || !n.Marked() || frozen != next {
+		t.Fatal("deleted node unmarked or its successor moved")
 	}
 	if got := l.ValueOf(n); got != "v" {
 		t.Fatalf("ValueOf = %v", got)

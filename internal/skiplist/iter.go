@@ -6,7 +6,7 @@ import "skiptrie/internal/stats"
 // traversal primitive every ordered scan in the repository is built on.
 // Seeks descend the skiplist exactly like point queries (and accept a
 // top-level anchor so callers can start them from the x-fast trie);
-// forward steps follow level-0 succ pointers, skipping logically deleted
+// forward steps follow level-0 next pointers, skipping logically deleted
 // nodes; backward steps re-run a predecessor descent, since the bottom
 // list is singly linked.
 //
@@ -26,8 +26,8 @@ import "skiptrie/internal/stats"
 //     yielded; one inserted behind is never seen.
 //
 // The cursor survives deletion of the node it rests on: a marked node's
-// succ word is frozen at mark time (unlinking rewrites the predecessor,
-// never the marked node), so stepping forward from a deleted — even
+// next link is frozen at mark time (unlinking rewrites the predecessor,
+// never the marked node or its marker), so stepping forward from a deleted — even
 // fully unlinked — node follows its frozen successor chain back into
 // the live list, and every node on that chain carried a strictly larger
 // key when the pointer was written. Backward steps ignore the resting
@@ -118,8 +118,7 @@ func (it *Iter[V]) Next(c *stats.Op) bool {
 	if it.cur == nil {
 		return false
 	}
-	s, _ := it.cur.succ.Load()
-	return it.settle(s.Next, c)
+	return it.settle(it.cur.succ(), c)
 }
 
 // Prev retreats to the next smaller key via a predecessor descent from

@@ -30,7 +30,7 @@ type List[V any] struct {
 	// back pointers (written once, at insert and at markNode) that may
 	// reference a retired node indefinitely as a recovery tombstone,
 	// and searches recover through those pointers relying on the
-	// retired node's key and frozen succ word staying exactly what they
+	// retired node's key and frozen next link staying exactly what they
 	// were. No grace period bounds that reachability, so reusing the
 	// allocation would change a key out from under a future recovery —
 	// the classic ABA corruption, here breaking search termination
@@ -56,8 +56,8 @@ func (l *List[V]) newDataNode() *dataNode[V] {
 // It must only be called on nodes that were never published: once the
 // linking CAS has landed, concurrent operations hold references to the
 // node forever (see the pool field comment). The scrub clears every
-// reference the insert attempt wrote (the succ word's cell, the back
-// pointer, the value), so a pooled node retains nothing; the epoch
+// reference the insert attempt wrote (the next and back pointers, the
+// value), so a pooled node retains nothing; the epoch
 // stamps and immutable-by-convention header fields are re-stamped in
 // full by the next insert that draws it.
 func (l *List[V]) recycleDataNode(dn *dataNode[V]) {
@@ -65,7 +65,7 @@ func (l *List[V]) recycleDataNode(dn *dataNode[V]) {
 	dn.val = zero
 	dn.from = 0
 	dn.n.born = 0
-	dn.n.succ.Reset()
+	dn.n.next.Store(nil)
 	dn.n.back.Store(nil)
 	l.pool.Put(dn)
 }
@@ -87,9 +87,10 @@ func (l *List[V]) Topo() *Topology { return &l.Topology }
 // pointer back to the containing *dataNode[V], which is only valid while
 // the two share an address.
 //
-// The value is published by the succ-word CAS that links the node into
+// The value is published by the next-pointer CAS that links the node into
 // level 0 (a release store that every reader acquires through its own
-// succ-word loads), so the initial write needs no further synchronization.
+// next-pointer loads), so the initial write needs no further
+// synchronization.
 // In-place updates (Map.Store on an existing key) cannot ride that
 // publication; they are guarded by vmu, a word-sized spinlock. The
 // critical section is a single value copy, readers and writers take it
@@ -330,15 +331,15 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 		// before any concurrently-registered pin is handed out, or the
 		// pinned view could include a key that observably did not exist
 		// yet (epoch.go, "The commit counter"). Both stamps are
-		// released by the CAS and acquired by any reader's succ load.
+		// released by the CAS and acquired by any reader's next load.
 		commit := l.commitEnter(key)
 		root.born = l.epoch.Load()
 		dn.from = root.born
 		hook("insert.committing", root)
-		root.succ.Store(Succ{Next: br.Right})
+		root.next.Store(br.Right)
 		root.back.Store(br.Left)
 		c.IncCAS()
-		_, ok := br.Left.succ.CompareAndSwap(br.LeftW, Succ{Next: root})
+		ok := br.Left.next.CompareAndSwap(br.Right, root)
 		if ok {
 			l.journalMark(key, root.born)
 		}
@@ -359,13 +360,13 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 	l.length.Add(1)
 	l.nodes.Add(1)
 
-	// Raise the tower, each link conditioned on the root's stop flag
-	// remaining unset (the paper's DCSS guard). Tower nodes above level 0
-	// are plain headers: they carry no value slot. The whole tower is cut
-	// from one slab — a single allocation instead of one per level — at
-	// the cost of the slab staying reachable while any of its nodes is
-	// (a constant-factor trade; towers are torn down level-by-level but
-	// their nodes' lifetimes are already coupled through root pointers).
+	// Raise the tower while the root's stop flag stays unset (Section 2).
+	// Tower nodes above level 0 are plain headers: they carry no value
+	// slot. The whole tower is cut from one slab — a single allocation
+	// instead of one per level — at the cost of the slab staying
+	// reachable while any of its nodes is (a constant-factor trade;
+	// towers are torn down level-by-level but their nodes' lifetimes are
+	// already coupled through root pointers).
 	curr := root
 	var slab []Node
 	if h > 1 {
@@ -382,56 +383,39 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 		tn.origHeight = int8(h)
 		tn.root = root
 		tn.down = curr
+		var br Bracket
 		for {
-			br := l.search(t, lefts[lv], c)
+			br = l.search(t, lefts[lv], c)
 			if br.Right.at(t) {
 				// A same-key node exists at this level (a racing
 				// incarnation); cap our tower here.
 				return InsertResult{Inserted: true, Root: root}
 			}
-			tn.succ.Store(Succ{Next: br.Right})
+			tn.next.Store(br.Right)
 			tn.back.Store(br.Left)
 			if lv == l.levels-1 {
 				tn.prev.Store(br.Left) // initial guide; FixPrev corrects it
 			}
 			hook("insert.before-raise", tn)
-			ok := false
-			if l.useDCSS {
-				c.IncDCSS()
-				_, ok = br.Left.succ.DCSS(br.LeftW, Succ{Next: tn}, func() bool { return !root.stop.Load() })
-			} else {
-				c.IncCAS()
-				_, ok = br.Left.succ.CompareAndSwap(br.LeftW, Succ{Next: tn})
-			}
-			if ok {
-				l.nodes.Add(1)
-				curr = tn
-				if !l.useDCSS && root.stop.Load() {
-					// Without the DCSS guard the link can land after a
-					// delete's top-down teardown scanned this level, so
-					// it would never be marked: tear it down here, the
-					// way Delete does. A delete that stops the tower
-					// after this load scans this level later and finds
-					// the node itself.
-					top := lv == l.levels-1
-					if top && !tn.ready.Load() {
-						l.FixPrev(br.Left, tn, c)
-					}
-					if l.markNode(tn, br.Left, c) {
-						l.nodes.Add(-1)
-						l.search(t, br.Left, c)
-					}
-					if top {
-						l.repairPrevAfterDelete(t, br.Left, c)
-					}
-					return InsertResult{Inserted: true, Root: root}
-				}
+			c.IncCAS()
+			if br.Left.next.CompareAndSwap(br.Right, tn) {
 				break
 			}
 			if root.stop.Load() {
 				return InsertResult{Inserted: true, Root: root}
 			}
 			lefts[lv] = br.Left
+		}
+		l.nodes.Add(1)
+		curr = tn
+		if root.stop.Load() {
+			// The link may have landed after a delete's top-down
+			// teardown scanned this level, which would then never mark
+			// it: tear the level down here, the way Delete does. A
+			// delete that stops the tower after this load scans this
+			// level later and finds the node itself.
+			l.removeLevel(tn, br.Left, c)
+			return InsertResult{Inserted: true, Root: root}
 		}
 	}
 	if h == l.levels {

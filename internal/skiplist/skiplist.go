@@ -6,17 +6,35 @@
 // by the universe width — rather than O(log m). Each key occupies a tower
 // of nodes linked by down pointers; the level-0 node is the tower's root
 // and carries the stop flag that freezes the tower when a delete begins
-// (Section 2). Each node's next pointer and marked bit live in one atomic
-// word (Harris-style logical deletion); a back pointer, set before a node
-// is marked, lets concurrent operations recover when a node is deleted
-// from under their feet (Fomitchev-Ruppert).
+// (Section 2). A back pointer, set before a node is marked, lets
+// concurrent operations recover when a node is deleted from under their
+// feet (Fomitchev-Ruppert).
+//
+// # Marker nodes
+//
+// Links are plain atomic pointers. The paper's (next, marked) word is
+// represented the way Harris's list with marker nodes (and Java's
+// ConcurrentSkipListMap) represents it: a delete marks its victim by
+// CAS-ing a fresh marker node, holding the victim's successor, into the
+// victim's next field, and a later search unlinks victim and marker with
+// one CAS on the predecessor's next. Every CAS on a next field expects a
+// non-marker node, so a marked node's next never changes again: a CAS
+// expecting left.next == right fails once left is marked, exactly as a
+// CAS on a packed word with a clear mark bit would. Nodes are never
+// re-linked once unlinked and the garbage collector keeps reachable
+// addresses from being reused, so comparing pointers is enough. A hop is
+// one dependent load — whether a node is marked is read from the node its
+// next field points at, which the walk visits next anyway — and no link
+// update allocates: an insert allocates its nodes, a delete one marker
+// per tower level.
 //
 // Top-level nodes additionally carry a prev pointer forming a doubly-linked
 // list. Linearizability relies only on the forward direction; prev pointers
 // are guides (Section 3). They are set by FixPrev via DCSS, conditioned on
-// the predecessor remaining unmarked and adjacent, so a prev pointer never
-// targets a marked node. The ready flag records that a node's insertion
-// into the doubly-linked list finished. Both repair disciplines discussed
+// left.next still being the node, so a prev pointer is only ever set to a
+// predecessor that was unmarked and adjacent at that instant. The ready
+// flag records that a node's insertion into the doubly-linked list
+// finished. Both repair disciplines discussed
 // in the paper's introduction are implemented: the default relaxed mode
 // (option 2, the paper's choice — transient backward gaps are tolerated and
 // repaired by the in-flight insert) and the eager-helping mode (option 1 —
@@ -24,8 +42,8 @@
 // ready), selectable per list for the T8 ablation.
 //
 // The package is split along the value axis. Node and Topology are
-// value-free: they carry only the paper's state (keys, towers, succ/marked
-// words, back/prev pointers) and implement every navigation and repair
+// value-free: they carry only the paper's state (keys, towers, next
+// links, back/prev pointers) and implement every navigation and repair
 // algorithm, so code that only routes through the structure — notably the
 // x-fast trie and its DCSS guards — compiles once, independent of any
 // value type. List[V] embeds a Topology and adds the insert path, whose
@@ -64,17 +82,11 @@ const (
 type kind int8
 
 const (
-	kindHead kind = iota - 1 // sorts before every key
-	kindData                 // an actual key
-	kindTail                 // sorts after every key
+	kindHead   kind = iota - 1 // sorts before every key
+	kindData                   // an actual key
+	kindTail                   // sorts after every key
+	kindMarker                 // marks its predecessor deleted; never compared
 )
-
-// Succ packs a node's next pointer and its marked bit into one atomic
-// value, exactly the paper's (next, marked) word.
-type Succ struct {
-	Next   *Node
-	Marked bool
-}
 
 // Node is one level of one tower: the value-free topology header every
 // layer above (the x-fast trie, the DCSS guards) operates on. Fields key,
@@ -91,14 +103,16 @@ type Node struct {
 	root       *Node // level-0 node of this tower (self at level 0)
 	down       *Node // next lower tower node; nil at level 0
 
-	succ dcss.Atom[Succ]
+	// next is the successor on this level, or a marker (whose next holds
+	// the frozen successor) once the node is deleted.
+	next atomic.Pointer[Node]
 	back atomic.Pointer[Node] // recovery hint; points to a strictly smaller node
 
 	// root-only:
 	stop atomic.Bool // freezes tower raising (Section 2)
 	// born is the list epoch current when the node was linked; written
 	// before the publishing CAS, so every reader that reached the node
-	// through a succ load observes it. dead is the epoch a delete
+	// through a next load observes it. dead is the epoch a delete
 	// committed the node at (0 while alive): the delete's linearization
 	// point is the CAS that sets it. Both are meaningful on data roots
 	// only; see epoch.go for the pin protocol they serve.
@@ -128,10 +142,27 @@ func (n *Node) Level() int { return int(n.level) }
 // Root returns the tower's level-0 node.
 func (n *Node) Root() *Node { return n.root }
 
+// isMarker reports whether next, loaded from some node's next field,
+// marks that node deleted.
+func isMarker(next *Node) bool { return next != nil && next.kind == kindMarker }
+
 // Marked reports whether the node is logically deleted.
-func (n *Node) Marked() bool {
-	s, _ := n.succ.Load()
-	return s.Marked
+func (n *Node) Marked() bool { return isMarker(n.next.Load()) }
+
+// Next returns the node's successor and whether the node is marked; a
+// marked node's successor is frozen. The tail's successor is nil.
+func (n *Node) Next() (*Node, bool) {
+	next := n.next.Load()
+	if isMarker(next) {
+		return next.next.Load(), true
+	}
+	return next, false
+}
+
+// succ returns the node's successor, looking through a marker.
+func (n *Node) succ() *Node {
+	next, _ := n.Next()
+	return next
 }
 
 // BornEpoch returns the epoch the node's tower was linked at.
@@ -159,19 +190,6 @@ func (n *Node) VisibleAt(p uint64) bool {
 	}
 	d := r.dead.Load()
 	return d == 0 || d > p
-}
-
-// LoadSucc returns the node's (next, marked) word and a witness usable in
-// guards.
-func (n *Node) LoadSucc() (Succ, dcss.Witness[Succ]) {
-	return n.succ.Load()
-}
-
-// SuccHolds reports whether the node's succ word still holds exactly the
-// witnessed value — the building block of the paper's DCSS guards
-// ("conditioned on the target remaining unmarked").
-func (n *Node) SuccHolds(w dcss.Witness[Succ]) bool {
-	return n.succ.Holds(w)
 }
 
 // Prev returns the node's backward guide pointer (top level only).
@@ -261,8 +279,10 @@ type Topology struct {
 type Config struct {
 	// Levels is the number of skiplist levels (use uintbits.Levels).
 	Levels int
-	// DisableDCSS replaces every DCSS by a plain CAS (dropping the second
-	// guard), the fallback the paper proves linearizable and lock-free.
+	// DisableDCSS makes top-level prev updates plain CASes, dropping
+	// the guard that the predecessor still links to the node (see
+	// setPrev), the fallback the paper proves linearizable and
+	// lock-free. Links are plain CASes in both modes.
 	DisableDCSS bool
 	// Repair selects the prev-pointer maintenance discipline.
 	Repair RepairMode
@@ -307,7 +327,7 @@ func (l *Topology) init(cfg Config) {
 			h.down = l.heads[i-1]
 			t.down = l.tails[i-1]
 		}
-		h.succ.Store(Succ{Next: t})
+		h.next.Store(t)
 		h.back.Store(h)
 		t.back.Store(h)
 		h.ready.Store(true)
@@ -341,13 +361,12 @@ func (l *Topology) Len() int { return int(l.length.Load()) }
 // (approximate under concurrency), for the T6 space experiment.
 func (l *Topology) NodeCount() int { return int(l.nodes.Load()) }
 
-// Bracket is the result of a list search at one level: at witness time,
-// Left was unmarked, Left.next was Right, and Left < target <= Right.
+// Bracket is the result of a list search at one level: Left < target <=
+// Right, Left.next was Right (so Left was unmarked) when it was read, and
+// Right was unmarked when its next was read.
 type Bracket struct {
-	Left   *Node
-	LeftW  dcss.Witness[Succ]
-	Right  *Node
-	RightW dcss.Witness[Succ]
+	Left  *Node
+	Right *Node
 }
 
 // search is the paper's listSearch(x, start): walk level nodes from start,
@@ -362,33 +381,32 @@ func (l *Topology) search(t target, start *Node, c *stats.Op) Bracket {
 			left = left.back.Load()
 			c.Hop()
 		}
-		ls, lw := left.succ.Load()
-		if ls.Marked {
+		curr := left.next.Load()
+		if isMarker(curr) {
 			left = left.back.Load()
 			c.Hop()
 			continue
 		}
-		curr := ls.Next
 	walk:
 		for {
 			c.Hop()
-			cs, cw := curr.succ.Load()
-			if cs.Marked {
-				// Unlink the marked node; on contention re-anchor.
+			next := curr.next.Load()
+			if isMarker(next) {
+				// Unlink curr together with its marker; on contention
+				// re-anchor.
+				succ := next.next.Load()
 				c.IncCAS()
-				nlw, ok := left.succ.CompareAndSwap(lw, Succ{Next: cs.Next})
-				if !ok {
+				if !left.next.CompareAndSwap(curr, succ) {
 					break walk
 				}
-				lw = nlw
-				curr = cs.Next
+				curr = succ
 				continue
 			}
 			if curr.before(t) {
-				left, lw, curr = curr, cw, cs.Next
+				left, curr = curr, next
 				continue
 			}
-			return Bracket{Left: left, LeftW: lw, Right: curr, RightW: cw}
+			return Bracket{Left: left, Right: curr}
 		}
 	}
 }
@@ -400,14 +418,6 @@ func (l *Topology) SearchTop(key uint64, start *Node, c *stats.Op) Bracket {
 		start = l.Head()
 	}
 	return l.search(target{key: key}, start, c)
-}
-
-// searchTarget is SearchTop for an arbitrary target (including the tail).
-func (l *Topology) searchTarget(t target, start *Node, c *stats.Op) Bracket {
-	if start == nil {
-		start = l.Head()
-	}
-	return l.search(t, start, c)
 }
 
 // descend runs the descending listSearch chain of the paper's skiplist
@@ -468,48 +478,58 @@ func (l *Topology) LastBracket(start *Node, c *stats.Op) Bracket {
 }
 
 // FixPrev is the paper's Algorithm 1: repeatedly locate node's predecessor
-// left on the top level and DCSS node.prev to it, conditioned on left
-// remaining unmarked with left.next = node, until success or node is
-// marked. In the default relaxed mode the node becomes ready on exit (its
-// prev has been set, or the node is logically deleted and its prev no
-// longer matters); in eager mode readiness is owned by makeReadyChain,
-// whose option-1 semantics are "my successor's prev points back at me".
+// left on the top level and point node.prev at it (setPrev), until success
+// or node is marked. In the default relaxed mode the node becomes ready on
+// exit (its prev has been set, or the node is logically deleted and its
+// prev no longer matters); in eager mode readiness is owned by
+// makeReadyChain, whose option-1 semantics are "my successor's prev points
+// back at me".
 func (l *Topology) FixPrev(pred, node *Node, c *stats.Op) {
-	var t target
-	if node.kind == kindTail {
-		t = target{tail: true}
-	} else {
-		t = target{key: node.key}
-	}
 	if pred == nil {
 		pred = l.Head()
 	}
-	br := l.searchTarget(t, pred, c)
+	t := node.target()
 	for !node.Marked() {
-		_, pw := node.prev.Load()
-		if br.Right == node {
-			ok := false
-			if l.useDCSS {
-				c.IncDCSS()
-				left := br.Left
-				lw := br.LeftW
-				_, ok = node.prev.DCSS(pw, left, func() bool { return left.succ.Holds(lw) })
-			} else {
-				c.IncCAS()
-				_, ok = node.prev.CompareAndSwap(pw, br.Left)
-			}
-			if ok {
-				if l.repair == RepairRelaxed {
-					node.ready.Store(true)
-				}
-				return
-			}
+		br := l.search(t, pred, c)
+		if br.Right == node && l.setPrev(node, br.Left, c) {
+			break
 		}
-		br = l.searchTarget(t, pred, c)
 	}
 	if l.repair == RepairRelaxed {
 		node.ready.Store(true)
 	}
+}
+
+// setPrev points node.prev at left, conditioned on left.next still being
+// node — left unmarked and adjacent — which a DCSS checks atomically with
+// the swap; the plain CAS of the DisableDCSS fallback drops the guard. It
+// is the single prev-update step of FixPrev, fixPrevOf and makeReadyChain.
+// Either way, an update found stale once it has landed is repaired again:
+// the delete or insert that made it stale may have finished its own
+// repair of node.prev before the update landed.
+func (l *Topology) setPrev(node, left *Node, c *stats.Op) bool {
+	hook("prev.before-set", left)
+	_, w := node.prev.Load()
+	var ok bool
+	if l.useDCSS {
+		c.IncDCSS()
+		_, ok = node.prev.DCSS(w, left, func() bool { return left.next.Load() == node })
+	} else {
+		c.IncCAS()
+		_, ok = node.prev.CompareAndSwap(w, left)
+	}
+	if ok && left.next.Load() != node {
+		l.fixPrevOf(node, l.search(node.target(), left, c), c)
+	}
+	return ok
+}
+
+// target returns the search position of a data or tail node.
+func (n *Node) target() target {
+	if n.kind == kindTail {
+		return target{tail: true}
+	}
+	return target{key: n.key}
 }
 
 // makeReadyChain implements the eager-helping discipline (Section 1,
@@ -525,8 +545,7 @@ func (l *Topology) makeReadyChain(node *Node, c *stats.Op) {
 	for cur.kind == kindData && n < len(chain) {
 		chain[n] = cur
 		n++
-		s, _ := cur.succ.Load()
-		next := s.Next
+		next := cur.succ()
 		if next == nil || next.ready.Load() {
 			break
 		}
@@ -536,27 +555,8 @@ func (l *Topology) makeReadyChain(node *Node, c *stats.Op) {
 		u := chain[i]
 		// Set u.next.prev = u, then u.ready.
 		for {
-			s, sw := u.succ.Load()
-			if s.Marked || s.Next == nil {
-				break
-			}
-			v := s.Next
-			_, pw := v.prev.Load()
-			if v.prev.Value() == u {
-				break
-			}
-			ok := false
-			if l.useDCSS {
-				c.IncDCSS()
-				_, ok = v.prev.DCSS(pw, u, func() bool { return u.succ.Holds(sw) })
-			} else {
-				c.IncCAS()
-				_, ok = v.prev.CompareAndSwap(pw, u)
-			}
-			if ok {
-				break
-			}
-			if u.Marked() {
+			v, marked := u.Next()
+			if marked || v == nil || v.prev.Value() == u || l.setPrev(v, u, c) || u.Marked() {
 				break
 			}
 		}
@@ -580,14 +580,11 @@ type DeleteResult struct {
 // for head). It implements the paper's delete with an epoch-stamped
 // commit: set the root's stop flag, CAS the root's dead epoch from 0 —
 // the linearization point, making the winner the teardown's single
-// owner — then mark and unlink tower nodes top-down and finally dispose
-// of the root: marked and unlinked immediately when no pinned epoch can
-// see it (the paper's physical removal, and the only path before the
-// first snapshot is ever taken), or retained unmarked on the bottom
-// list for pinned readers and reclaimed by the epoch-release sweep
-// (epoch.go). For towers that reached the top level it also performs
-// the paper's toplevelDelete duties: ensure the node was completely
-// inserted first, and repair the successor's prev pointer afterwards.
+// owner — then tear tower nodes down top-down (removeLevel) and finally
+// dispose of the root: removed immediately when no pinned epoch can see
+// it (the paper's physical removal, and the only path before the first
+// snapshot is ever taken), or retained unmarked on the bottom list for
+// pinned readers and reclaimed by the epoch-release sweep (epoch.go).
 func (l *Topology) Delete(key uint64, start *Node, c *stats.Op) DeleteResult {
 	t := target{key: key}
 	var lefts [MaxLevels]*Node
@@ -625,42 +622,28 @@ func (l *Topology) Delete(key uint64, start *Node, c *stats.Op) DeleteResult {
 	}
 	l.length.Add(-1)
 
-	// Mark tower nodes top-down. Re-scan every level: a raise that
+	// Tear tower nodes down top-down. Re-scan every level: a raise that
 	// squeaked in before the stop flag is caught here because we only act
-	// on nodes whose root is ours.
+	// on nodes whose root is ours (a raise landing after this scan tears
+	// its level down itself; see insertWithHeight).
 	var topNode *Node
 	for lv := l.levels - 1; lv >= 1; lv-- {
-		for {
-			b := l.search(t, lefts[lv], c)
-			lefts[lv] = b.Left
-			if !b.Right.at(t) || b.Right.root != root {
-				break
-			}
-			n := b.Right
+		b := l.search(t, lefts[lv], c)
+		if b.Right.at(t) && b.Right.root == root {
 			if lv == l.levels-1 {
-				topNode = n
-				// Paper, toplevelDelete: finish the node's doubly-linked
-				// insertion before deleting it.
-				if !n.ready.Load() {
-					l.FixPrev(b.Left, n, c)
-				}
+				topNode = b.Right
 			}
-			if l.markNode(n, b.Left, c) {
-				// Physically unlink via a cleanup search.
-				l.search(t, b.Left, c)
-				l.nodes.Add(-1)
-			}
-			break
+			l.removeLevel(b.Right, b.Left, c)
 		}
 	}
 
-	// Dispose of the root: immediate mark + unlink, or retention for
-	// pinned epochs (see epoch.go for why the minPin check is race-free
-	// against concurrent pins). After filing the node for retention,
-	// re-check: if the last pin released between the decision and the
-	// append, its sweep ran over a list that did not yet hold this
-	// node, and nothing else would reclaim it until some future
-	// release — sweep again ourselves.
+	// Dispose of the root: immediate removal, or retention for pinned
+	// epochs (see epoch.go for why the minPin check is race-free against
+	// concurrent pins). After filing the node for retention, re-check:
+	// if the last pin released between the decision and the append, its
+	// sweep ran over a list that did not yet hold this node, and nothing
+	// else would reclaim it until some future release — sweep again
+	// ourselves.
 	if l.minPin.Load() < dead {
 		l.retiredMu.Lock()
 		l.retired = append(l.retired, root)
@@ -668,29 +651,51 @@ func (l *Topology) Delete(key uint64, start *Node, c *stats.Op) DeleteResult {
 		if l.minPin.Load() >= dead {
 			l.sweepRetired(c)
 		}
-	} else if l.markNode(root, left0, c) {
-		l.nodes.Add(-1)
-		l.search(t, left0, c)
-	}
-
-	if topNode != nil {
-		l.repairPrevAfterDelete(t, lefts[l.levels-1], c)
+	} else {
+		l.removeLevel(root, left0, c)
 	}
 	return DeleteResult{Deleted: true, Root: root, Top: topNode}
 }
 
-// markNode sets n.back to the given hint and marks n, returning true if
-// this call's CAS performed the marking.
+// removeLevel tears down tower node n, found right of left on its level:
+// mark it, and unlink it with a cleanup search if this call marked it.
+// For a top-level node it also performs the paper's toplevelDelete
+// duties: finish the node's doubly-linked insertion first, and repair
+// its successor's prev pointer afterwards. Delete, the epoch sweep and an
+// insert whose raise landed on a stopped tower all tear levels down here.
+func (l *Topology) removeLevel(n, left *Node, c *stats.Op) {
+	t := n.target()
+	top := int(n.level) == l.levels-1
+	if top && !n.ready.Load() {
+		l.FixPrev(left, n, c)
+	}
+	if l.markNode(n, left, c) {
+		l.search(t, left, c)
+		l.nodes.Add(-1)
+	}
+	if top {
+		l.repairPrevAfterDelete(t, left, c)
+	}
+}
+
+// markNode sets n.back to the given hint and marks n by CAS-ing a marker
+// holding its successor into n.next, returning true if this call's CAS
+// performed the marking.
 func (l *Topology) markNode(n, backHint *Node, c *stats.Op) bool {
+	var marker *Node
 	for {
-		s, w := n.succ.Load()
-		if s.Marked {
+		next := n.next.Load()
+		if isMarker(next) {
 			return false
 		}
 		hook("delete.before-mark", n)
 		n.back.Store(backHint)
+		if marker == nil {
+			marker = &Node{kind: kindMarker}
+		}
+		marker.next.Store(next)
 		c.IncCAS()
-		if _, ok := n.succ.CompareAndSwap(w, Succ{Next: s.Next, Marked: true}); ok {
+		if n.next.CompareAndSwap(next, marker) {
 			return true
 		}
 	}
@@ -702,19 +707,11 @@ func (l *Topology) markNode(n, backHint *Node, c *stats.Op) bool {
 // so we simply stop.
 func (l *Topology) repairSuccessorPrev(node *Node, c *stats.Op) {
 	for {
-		s, _ := node.succ.Load()
-		if s.Marked {
+		z, marked := node.Next()
+		if marked {
 			return
 		}
-		z := s.Next
-		var zt target
-		if z.kind == kindTail {
-			zt = target{tail: true}
-		} else {
-			zt = target{key: z.key}
-		}
-		br := l.searchTarget(zt, node, c)
-		l.fixPrevOf(zt, z, br, c)
+		l.fixPrevOf(z, l.search(z.target(), node, c), c)
 		if !z.Marked() {
 			return
 		}
@@ -727,44 +724,20 @@ func (l *Topology) repairSuccessorPrev(node *Node, c *stats.Op) {
 // successor itself got marked meanwhile.
 func (l *Topology) repairPrevAfterDelete(t target, hint *Node, c *stats.Op) {
 	for {
-		br := l.searchTarget(t, hint, c)
-		succ := br.Right
-		var st target
-		if succ.kind == kindTail {
-			st = target{tail: true}
-		} else {
-			st = target{key: succ.key}
-		}
-		l.fixPrevOf(st, succ, br, c)
-		if !succ.Marked() {
+		br := l.search(t, hint, c)
+		l.fixPrevOf(br.Right, br, c)
+		if !br.Right.Marked() {
 			return
 		}
 	}
 }
 
 // fixPrevOf is FixPrev when the caller already holds a bracket whose Right
-// is the node.
-func (l *Topology) fixPrevOf(t target, node *Node, br Bracket, c *stats.Op) {
-	for !node.Marked() {
-		_, pw := node.prev.Load()
-		if br.Right == node {
-			ok := false
-			if l.useDCSS {
-				c.IncDCSS()
-				left := br.Left
-				lw := br.LeftW
-				_, ok = node.prev.DCSS(pw, left, func() bool { return left.succ.Holds(lw) })
-			} else {
-				c.IncCAS()
-				_, ok = node.prev.CompareAndSwap(pw, br.Left)
-			}
-			if ok {
-				return
-			}
-		} else {
-			return
-		}
-		br = l.searchTarget(t, br.Left, c)
+// is the node; it gives up once the node is no longer right of the
+// bracket's Left.
+func (l *Topology) fixPrevOf(node *Node, br Bracket, c *stats.Op) {
+	for !node.Marked() && br.Right == node && !l.setPrev(node, br.Left, c) {
+		br = l.search(node.target(), br.Left, c)
 	}
 }
 
@@ -794,8 +767,7 @@ func (l *Topology) FindVisible(n *Node, key uint64, at uint64, c *stats.Op) (*No
 		if admitted(n, at) {
 			return n, true
 		}
-		s, _ := n.succ.Load()
-		n = s.Next
+		n = n.succ()
 		c.Hop()
 	}
 	return nil, false
@@ -818,7 +790,7 @@ func admitted(n *Node, at uint64) bool {
 
 // NextVisible walks forward from n (a bracket's Right) to the first
 // data node the view at epoch at admits (0 = live), reporting false at
-// the tail. Marked nodes are traversed through their frozen succ
+// the tail. Marked nodes are traversed through their frozen next
 // chains; out-of-view retained nodes are stepped over in place.
 func (l *Topology) NextVisible(n *Node, at uint64, c *stats.Op) (*Node, bool) {
 	for {
@@ -828,9 +800,8 @@ func (l *Topology) NextVisible(n *Node, at uint64, c *stats.Op) (*Node, bool) {
 		if admitted(n, at) {
 			return n, true
 		}
-		s, _ := n.succ.Load()
 		c.Hop()
-		n = s.Next
+		n = n.succ()
 	}
 }
 

@@ -210,10 +210,10 @@ func TestTopLevelLinkage(t *testing.T) {
 	// after quiescence, all nodes ready.
 	head := l.Head()
 	prevNode := head
-	s, _ := head.LoadSucc()
-	for cur := s.Next; !cur.IsTail(); {
-		cs, _ := cur.LoadSucc()
-		if cs.Marked {
+	cur, _ := head.Next()
+	for !cur.IsTail() {
+		next, marked := cur.Next()
+		if marked {
 			t.Fatal("marked node reachable on top level after quiescence")
 		}
 		if !prevNode.IsHead() && cur.Key() <= prevNode.Key() {
@@ -226,7 +226,7 @@ func TestTopLevelLinkage(t *testing.T) {
 			t.Fatalf("prev of %d is %v, want %v", cur.Key(), fmtNode(got), fmtNode(prevNode))
 		}
 		prevNode = cur
-		cur = cs.Next
+		cur = next
 	}
 }
 
@@ -298,14 +298,13 @@ func TestStopFlagCapsRaising(t *testing.T) {
 		l.Delete(k, nil, nil)
 	}
 	for lv := 0; lv < l.Levels(); lv++ {
-		h := l.HeadAt(lv)
-		s, _ := h.LoadSucc()
-		for cur := s.Next; !cur.IsTail(); {
-			cs, _ := cur.LoadSucc()
-			if !cs.Marked {
+		cur, _ := l.HeadAt(lv).Next()
+		for !cur.IsTail() {
+			next, marked := cur.Next()
+			if !marked {
 				t.Fatalf("level %d: node %d still reachable after deleting everything", lv, cur.Key())
 			}
-			cur = cs.Next
+			cur = next
 		}
 	}
 	if l.Len() != 0 {
@@ -335,22 +334,67 @@ func TestDisableDCSSMode(t *testing.T) {
 // TestDisableDCSSRaiseAfterDelete parks an insert between its stop-flag
 // check and the plain CAS that raises its tower to a level — a middle
 // one, and the top, whose teardown also repairs prev pointers — while a
-// delete of the key runs to completion. Without the DCSS guard the
-// raise still lands, after the delete's teardown scanned that level, so
-// the insert must mark the node itself rather than leave an unmarked
-// tower node of a dead root.
+// delete of the key runs to completion. The raise still lands, after the
+// delete's teardown scanned that level, so the insert must tear the node
+// down itself rather than leave an unmarked tower node of a dead root.
+// Raises are plain CASes with or without DCSS, so both modes run it.
 func TestDisableDCSSRaiseAfterDelete(t *testing.T) {
 	const levels = 4
-	for _, park := range []int{1, levels - 1} {
-		l := New[any](Config{Levels: levels, DisableDCSS: true, Seed: 1})
-		l.InsertWithHeight(9, nil, nil, levels, nil)
+	for _, noDCSS := range []bool{true, false} {
+		for _, park := range []int{1, levels - 1} {
+			l := New[any](Config{Levels: levels, DisableDCSS: noDCSS, Seed: 1})
+			l.InsertWithHeight(9, nil, nil, levels, nil)
+			paused := make(chan struct{})
+			resume := make(chan struct{})
+			var once sync.Once
+			restore := SetTestHook(func(site string, n *Node) {
+				if site == "insert.before-raise" && n.Key() == 5 && n.Level() == park {
+					once.Do(func() { close(paused) })
+					<-resume
+				}
+			})
+
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				l.InsertWithHeight(5, nil, nil, levels, nil)
+			}()
+			<-paused
+			if !l.Delete(5, nil, nil).Deleted {
+				t.Fatalf("noDCSS=%v level %d: delete of the parked insert's key failed", noDCSS, park)
+			}
+			close(resume)
+			<-done
+			restore()
+			if err := l.Validate(); err != nil {
+				t.Fatalf("noDCSS=%v parked at level %d: %v", noDCSS, park, err)
+			}
+			if l.Contains(5, nil, nil) || !l.Contains(9, nil, nil) {
+				t.Fatalf("noDCSS=%v parked at level %d: wrong key set after the delete", noDCSS, park)
+			}
+		}
+	}
+}
+
+// TestPrevUpdateAfterDelete parks a top-level insert just before it
+// points its successor's prev back at itself, deletes the key to
+// completion — the delete's own repair already points the successor's
+// prev past it — and then lets the update land. Without the DCSS guard
+// the update lands on a deleted node, so setPrev must find it stale
+// and repair it again; with the guard the update fails and is retried.
+func TestPrevUpdateAfterDelete(t *testing.T) {
+	const levels = 4
+	for _, noDCSS := range []bool{true, false} {
+		l := New[any](Config{Levels: levels, DisableDCSS: noDCSS, Seed: 1})
 		paused := make(chan struct{})
 		resume := make(chan struct{})
 		var once sync.Once
 		restore := SetTestHook(func(site string, n *Node) {
-			if site == "insert.before-raise" && n.Key() == 5 && n.Level() == park {
-				once.Do(func() { close(paused) })
-				<-resume
+			if site == "prev.before-set" && n.IsData() && n.Key() == 5 {
+				once.Do(func() {
+					close(paused)
+					<-resume
+				})
 			}
 		})
 
@@ -361,16 +405,13 @@ func TestDisableDCSSRaiseAfterDelete(t *testing.T) {
 		}()
 		<-paused
 		if !l.Delete(5, nil, nil).Deleted {
-			t.Fatalf("level %d: delete of the parked insert's key failed", park)
+			t.Fatalf("noDCSS=%v: delete of the parked insert's key failed", noDCSS)
 		}
 		close(resume)
 		<-done
 		restore()
 		if err := l.Validate(); err != nil {
-			t.Fatalf("parked at level %d: %v", park, err)
-		}
-		if l.Contains(5, nil, nil) || !l.Contains(9, nil, nil) {
-			t.Fatalf("parked at level %d: wrong key set after the delete", park)
+			t.Fatalf("noDCSS=%v: %v", noDCSS, err)
 		}
 	}
 }

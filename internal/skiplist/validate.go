@@ -32,15 +32,14 @@ func (l *Topology) Validate() error {
 		first := true
 		n := l.heads[lv]
 		for {
-			s, _ := n.succ.Load()
+			next, marked := n.Next()
 			if n.kind == kindTail {
 				break
 			}
-			next := s.Next
 			if next == nil {
 				return fmt.Errorf("level %d: nil next before tail (node %v)", lv, n.key)
 			}
-			if n.kind == kindData && !s.Marked {
+			if n.kind == kindData && !marked {
 				// The dead stamp lives on the root (for level 0 the node
 				// is its own root); an unmarked tower node whose root is
 				// dead is a teardown leak, while a dead level-0 node is
@@ -95,14 +94,14 @@ func (l *Topology) Validate() error {
 	prev := l.heads[top]
 	n := l.heads[top]
 	for {
-		s, _ := n.succ.Load()
+		next, marked := n.Next()
 		if n.kind == kindTail {
 			if got := n.prev.Value(); got != prev {
 				return fmt.Errorf("tail.prev = %v, want key %v", nodeDesc(got), nodeDesc(prev))
 			}
 			break
 		}
-		if n.kind == kindData && !s.Marked {
+		if n.kind == kindData && !marked {
 			if !n.ready.Load() {
 				return fmt.Errorf("top node %d not ready at quiescence", n.key)
 			}
@@ -111,7 +110,7 @@ func (l *Topology) Validate() error {
 			}
 			prev = n
 		}
-		n = s.Next
+		n = next
 	}
 
 	if got, want := l.Len(), len(levelKeys[0]); got != want {
@@ -141,14 +140,14 @@ func (l *Topology) LevelCounts() []int {
 	for lv := 0; lv < l.levels; lv++ {
 		n := l.heads[lv]
 		for {
-			s, _ := n.succ.Load()
-			if n.kind == kindData && !s.Marked && n.dead.Load() == 0 {
+			next, marked := n.Next()
+			if n.kind == kindData && !marked && n.dead.Load() == 0 {
 				counts[lv]++
 			}
 			if n.kind == kindTail {
 				break
 			}
-			n = s.Next
+			n = next
 		}
 	}
 	return counts
@@ -162,35 +161,28 @@ func (l *Topology) TopGaps() []int {
 	top := l.levels - 1
 	var gaps []int
 	gap := 0
-	topNode := l.heads[top]
-	ts, _ := topNode.succ.Load()
-	nextTop := ts.Next
+	nextTop := l.heads[top].succ()
 	n := l.heads[0]
 	for {
-		s, _ := n.succ.Load()
+		next, marked := n.Next()
 		if n.kind == kindTail {
 			gaps = append(gaps, gap)
 			break
 		}
-		if n.kind == kindData && !s.Marked && n.dead.Load() == 0 {
+		if n.kind == kindData && !marked && n.dead.Load() == 0 {
 			// Is this key the next top-level key?
-			for nextTop.kind == kindData {
-				ns, _ := nextTop.succ.Load()
-				if !ns.Marked {
-					break
-				}
-				nextTop = ns.Next
+			for nextTop.kind == kindData && nextTop.Marked() {
+				nextTop = nextTop.succ()
 			}
 			if nextTop.kind == kindData && nextTop.key == n.key {
 				gaps = append(gaps, gap)
 				gap = 0
-				ns, _ := nextTop.succ.Load()
-				nextTop = ns.Next
+				nextTop = nextTop.succ()
 			} else {
 				gap++
 			}
 		}
-		n = s.Next
+		n = next
 	}
 	return gaps
 }

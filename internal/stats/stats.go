@@ -1,5 +1,6 @@
 // Package stats provides per-operation step accounting for the SkipTrie's
-// amortized-complexity experiments (T1-T5 in DESIGN.md).
+// amortized-complexity experiments (T1-T5 of README.md's "Reproduction
+// experiments (T1-T8, F1)").
 //
 // An *Op is threaded through one structure operation and accumulated
 // locally (no atomics); a nil *Op disables accounting at near-zero cost.

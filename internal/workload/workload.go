@@ -1,7 +1,7 @@
 // Package workload generates the keys and operation mixes used by the
-// reproduction experiments (DESIGN.md T1-T8/F1): uniform and skewed key
-// distributions over configurable universes, and read/write operation
-// mixes.
+// reproduction experiments (README.md, "Reproduction experiments
+// (T1-T8, F1)"): uniform and skewed key distributions over configurable
+// universes, and read/write operation mixes.
 package workload
 
 import (

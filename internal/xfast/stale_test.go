@@ -3,6 +3,9 @@ package xfast
 import (
 	"sync"
 	"testing"
+
+	"skiptrie/internal/skiplist"
+	"skiptrie/internal/uintbits"
 )
 
 // TestQueriesAcrossStaleTrie reproduces the recovery scenario of Section 4:
@@ -142,4 +145,57 @@ func TestDeleteWalkIdempotent(t *testing.T) {
 		}
 	}
 	r.validate(t)
+}
+
+// TestInsertWalkHelpsMarkedPointer replays, step by step, a DeleteWalk
+// whose top-level search runs before a new key enters the subtree and
+// whose swing lands after the new key's InsertWalk passed the level. X
+// is the only top-level key below 2^15, so at the root prefix its
+// delete's search proves the 0-subtree empty and nulls the pointer. N,
+// linked after that search, finds the root's 0-pointer on the marked X:
+// it must not take X as its representative, or the late null leaves N
+// unrepresented at quiescence.
+func TestInsertWalkHelpsMarkedPointer(t *testing.T) {
+	for _, noDCSS := range []bool{false, true} {
+		r := newRig(16, noDCSS)
+		// topInsert inserts keys from k downwards until one reaches the
+		// top level, removing the others, and returns it without a trie
+		// walk.
+		topInsert := func(k uint64) *skiplist.Node {
+			for ; ; k-- {
+				res := r.list.Insert(k, struct{}{}, nil, nil)
+				if res.Top != nil {
+					return res.Top
+				}
+				r.list.Delete(k, nil, nil)
+			}
+		}
+		x := topInsert(0x7000)
+		r.trie.InsertWalk(x, nil)
+		r.validate(t)
+
+		if del := r.list.Delete(x.Key(), nil, nil); del.Top != x {
+			t.Fatalf("noDCSS=%v: delete of %d did not report its top-level node", noDCSS, x.Key())
+		}
+		// X's DeleteWalk at the root prefix, up to its swing.
+		tn, ok := r.trie.lookup(uintbits.Prefix{}, nil)
+		if !ok {
+			t.Fatalf("noDCSS=%v: root prefix missing", noDCSS)
+		}
+		pair, w := tn.pointers.Load()
+		if pair.Zero != x {
+			t.Fatalf("noDCSS=%v: root 0-pointer = %v, want X", noDCSS, pair.Zero)
+		}
+		if br := r.list.SearchTop(x.Key(), nil, nil); br.Left.IsData() {
+			t.Fatalf("noDCSS=%v: search left of X found key %d, want the head", noDCSS, br.Left.Key())
+		}
+
+		n := topInsert(0x6000)
+		r.trie.InsertWalk(n, nil)
+
+		// X's swing lands late, then its walk finishes.
+		r.trie.swing(tn, w, pair.With(0, nil), nil, 0, nil)
+		r.trie.DeleteWalk(x.Key(), x, nil, nil)
+		r.validate(t)
+	}
 }

@@ -19,11 +19,12 @@
 //
 // Writes follow the paper exactly:
 //   - insert walks prefixes longest-first (Algorithm 6), creating missing
-//     nodes, helping delete tombstoned ones, and swinging pointers outward
-//     via DCSS conditioned on the new target remaining unmarked;
+//     nodes, helping delete tombstoned ones and marked pointers, and
+//     swinging pointers outward via DCSS conditioned on the new target
+//     remaining unmarked;
 //   - delete walks prefixes shortest-first (Algorithm 7), swinging
 //     pointers off the deleted node onto its still-adjacent unmarked
-//     neighbours (witnessed by listSearch), nulling pointers whose subtree
+//     neighbours (found by listSearch), nulling pointers whose subtree
 //     emptied, and removing (null, null) nodes from the hash table with
 //     compareAndDelete.
 package xfast
@@ -92,8 +93,9 @@ type Config struct {
 	// trie indexes (List[V].Topo()); the trie itself is value-agnostic and
 	// compiles once for every List[V] instantiation.
 	List *skiplist.Topology
-	// DisableDCSS replaces every DCSS by plain CAS (drops the second
-	// guard), the fallback the paper proves remains linearizable.
+	// DisableDCSS makes pointer swings plain CASes, dropping the guard
+	// that the new target is unmarked (see swing), the fallback the
+	// paper proves remains linearizable.
 	DisableDCSS bool
 }
 
@@ -259,7 +261,7 @@ func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 					// either way — deleteLevel is a no-op once the
 					// pointer no longer targets node.
 					if node.Marked() {
-						t.deleteLevel(key, node, nil, l, c)
+						t.deleteLevel(key, node, node, l, c)
 					}
 					break // crossed this level
 				}
@@ -272,39 +274,52 @@ func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 				t.prefixes.CompareAndDelete(p.Encode(), tn)
 				continue
 			}
+			// A marked pointer in the subtree is helped off its node
+			// first: that node's own DeleteWalk may have searched before
+			// node was linked, and trusting the pointer would leave node
+			// unrepresented once that walk's swing lands.
+			cur := pair.Get(d)
+			if cur != node && cur != nil && cur.IsData() && cur.Marked() &&
+				p.Child(d).IsPrefixOfKey(cur.Key(), t.width) {
+				t.deleteLevel(cur.Key(), cur, cur, l, c)
+				continue
+			}
 			// A different node with node's key is an older incarnation
 			// being deleted, whose DeleteWalk may swing the pointer past
 			// node to a strict neighbour: it does not represent node.
-			cur := pair.Get(d)
 			if cur == node || cur != nil && cur.IsData() &&
 				((d == 0 && cur.Key() > key) || (d == 1 && cur.Key() < key)) {
 				break // node is adequately represented at this level
 			}
 			// Swing the pointer outward to node, conditioned on node
-			// remaining unmarked with unchanged succ (paper line 19).
-			s, sw := node.LoadSucc()
-			if s.Marked {
-				return
-			}
-			if t.swing(tn, w, pair.With(d, node), node, sw, c) {
+			// remaining unmarked (paper line 19).
+			if t.swing(tn, w, pair.With(d, node), node, l, c) {
 				break
 			}
 		}
 	}
 }
 
-// swing performs the guarded pointer update: DCSS conditioned on guardNode
-// still holding the witnessed succ (hence unmarked), or a plain CAS in the
-// fallback mode.
+// swing replaces tn's witnessed pair by newPair, whose changed pointer
+// targets target (nil to null it), at trie level l. A DCSS conditions a
+// non-nil target on its remaining unmarked (paper, Algorithms 6/7); the
+// plain CAS of the DisableDCSS fallback drops that guard. Either way a
+// target found marked once the swing has landed is disconnected from the
+// level again: its own DeleteWalk may have passed the level before the
+// swing landed, and then nothing else would move the pointer off it.
 func (t *Trie) swing(tn *treeNode, w dcss.Witness[Pair], newPair Pair,
-	guardNode *skiplist.Node, guardW dcss.Witness[skiplist.Succ], c *stats.Op) bool {
-	if t.useDCSS {
+	target *skiplist.Node, l int, c *stats.Op) bool {
+	var ok bool
+	if t.useDCSS && target != nil {
 		c.IncDCSS()
-		_, ok := tn.pointers.DCSS(w, newPair, func() bool { return guardNode.SuccHolds(guardW) })
-		return ok
+		_, ok = tn.pointers.DCSS(w, newPair, func() bool { return !target.Marked() })
+	} else {
+		c.IncCAS()
+		_, ok = tn.pointers.CompareAndSwap(w, newPair)
 	}
-	c.IncCAS()
-	_, ok := tn.pointers.CompareAndSwap(w, newPair)
+	if ok && target != nil && target.Marked() {
+		t.deleteLevel(target.Key(), target, target, l, c)
+	}
 	return ok
 }
 
@@ -340,30 +355,27 @@ func (t *Trie) deleteLevel(key uint64, node *skiplist.Node, left *skiplist.Node,
 		br := t.list.SearchTop(key, left, c)
 		left = br.Left
 		child := p.Child(d)
-		if d == 0 {
-			// New candidate for "largest in the 0-subtree" is the
-			// deleted key's left neighbour.
-			if br.Left.IsData() && child.IsPrefixOfKey(br.Left.Key(), t.width) {
-				t.swing(tn, w, pair.With(0, br.Left), br.Left, br.LeftW, c)
-			} else {
-				// The bracket proves the 0-subtree emptied (DESIGN.md):
-				// null the pointer (paper line 20).
-				c.IncCAS()
-				tn.pointers.CompareAndSwap(w, pair.With(0, nil))
-			}
-		} else {
-			// New candidate for "smallest in the 1-subtree" is the
-			// deleted key's right neighbour.
-			if br.Right.IsData() && child.IsPrefixOfKey(br.Right.Key(), t.width) {
-				// Paper's makeDone(left, right): complete the
-				// successor's backward link before publishing it.
-				t.list.FixPrev(br.Left, br.Right, c)
-				t.swing(tn, w, pair.With(1, br.Right), br.Right, br.RightW, c)
-			} else {
-				c.IncCAS()
-				tn.pointers.CompareAndSwap(w, pair.With(1, nil))
-			}
+		// The new candidate for "largest in the 0-subtree" is the deleted
+		// key's left neighbour, and for "smallest in the 1-subtree" its
+		// right neighbour. A neighbour outside the subtree proves the
+		// subtree held no other top-level key when the search ran, so the
+		// pointer is nulled (paper line 20). A key linked into the
+		// subtree after the search is not lost: its InsertWalk reaches
+		// this level only after the link, finds the pointer on node
+		// (marked, so it helps move it with a search that sees the key)
+		// or on what this swing installed, and swings it to the key
+		// unless that is already closer. This swing's witness fails once
+		// that walk has changed the pair.
+		var next *skiplist.Node
+		if d == 0 && br.Left.IsData() && child.IsPrefixOfKey(br.Left.Key(), t.width) {
+			next = br.Left
+		} else if d == 1 && br.Right.IsData() && child.IsPrefixOfKey(br.Right.Key(), t.width) {
+			// Paper's makeDone(left, right): complete the successor's
+			// backward link before publishing it.
+			t.list.FixPrev(br.Left, br.Right, c)
+			next = br.Right
 		}
+		t.swing(tn, w, pair.With(d, next), next, l, c)
 		pair, w = tn.pointers.Load()
 	}
 	// Even if another operation moved the pointer first, help null a
@@ -398,16 +410,12 @@ func (t *Trie) deleteLevel(key uint64, node *skiplist.Node, left *skiplist.Node,
 func (t *Trie) Validate() error {
 	// Collect top-level keys.
 	var tops []uint64
-	n := t.list.Head()
-	for {
-		s, _ := n.LoadSucc()
-		if n.IsData() && !s.Marked {
+	for n := t.list.Head(); n != nil; {
+		next, marked := n.Next()
+		if n.IsData() && !marked {
 			tops = append(tops, n.Key())
 		}
-		if s.Next == nil {
-			break
-		}
-		n = s.Next
+		n = next
 	}
 	type bound struct {
 		max0, min1 uint64

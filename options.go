@@ -120,10 +120,12 @@ func WithWidth(w int) Option {
 	})
 }
 
-// WithoutDCSS replaces every DCSS with a plain CAS (dropping the second
-// guard). The paper proves the structure remains linearizable and
-// lock-free in this mode; only the amortized step bound degrades. Exposed
-// for the T7 ablation experiment.
+// WithoutDCSS replaces each DCSS with a plain CAS (dropping the second
+// guard). Two sites use DCSS: top-level prev-pointer updates and x-fast
+// trie pointer swings; skiplist links are plain CASes in both modes. The
+// paper proves the structure remains linearizable and lock-free in this
+// mode; only the amortized step bound degrades. Exposed for the T7
+// ablation experiment.
 func WithoutDCSS() Option {
 	return option(func(o *options) { o.disableDCSS = true })
 }

@@ -15,10 +15,12 @@ import (
 // latency spike or a memory plateau to the maintenance action that
 // caused it, without parsing logs.
 //
-// The hooks feed the same internal sink (stats.Trace) the gauges are
-// derived from, so a hook sees every event exactly once, in the order
-// the emitting goroutine produced it. Events from different goroutines
-// are not globally ordered.
+// Each event reaches a hook exactly once, through the structure's
+// internal sink (stats.Trace), in the order the emitting goroutine
+// produced it; events from different goroutines are not globally
+// ordered. The retention gauges do not come from these events: a
+// Metrics snapshot reads them from the structure itself (PinStats,
+// registered by attachGauges).
 
 // PinTrace reports an epoch pin transition. Acquire events fire when an
 // epoch's pin count rises from zero (Age is 0); release events fire
