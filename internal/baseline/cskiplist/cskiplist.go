@@ -9,11 +9,12 @@
 // (capped at MaxHeight), and searches always start from the head: cost
 // Θ(log m) regardless of the universe width.
 //
-// Node links are dcss.Atom cells (pointer and mark boxed in one cell,
-// witness-based CAS), while the SkipTrie's skiplist links are plain
-// pointers with marker nodes: step counts compare the two algorithms, but
-// wall-clock comparisons also carry the extra dependent load per hop the
-// boxed cell costs here.
+// Links use the SkipTrie skiplist's layout: plain atomic pointers, with a
+// delete marking a level by CAS-ing a marker node, which holds the
+// successor, into the victim's link there, and a search unlinking victim
+// and marker with one CAS. So a hop is one dependent load in both
+// structures, and wall-clock comparisons (T1, T2, T4) compare the
+// algorithms rather than the link representation.
 package cskiplist
 
 import (
@@ -21,7 +22,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"skiptrie/internal/dcss"
 	"skiptrie/internal/stats"
 	"skiptrie/internal/uintbits"
 )
@@ -32,17 +32,62 @@ const MaxHeight = 32
 type node struct {
 	key    uint64
 	val    atomic.Pointer[valueCell]
-	sent   int8 // -1 head, +1 tail, 0 data
+	sent   int8 // -1 head, +1 tail, 0 data, sentMarker for markers
 	height int
-	next   []dcss.Atom[succ]
+	// next holds the successor per level, or a marker once the level is
+	// deleted; a marker's single link holds the frozen successor.
+	next []atomic.Pointer[node]
+}
+
+// sentMarker tags marker nodes; a marker is never compared with a key.
+const sentMarker = 2
+
+func isMarker(n *node) bool { return n != nil && n.sent == sentMarker }
+
+// newMarker returns a marker holding succ, its one link inline in the
+// same allocation.
+func newMarker(succ *node) *node {
+	m := &struct {
+		node
+		link [1]atomic.Pointer[node]
+	}{}
+	m.sent = sentMarker
+	m.next = m.link[:]
+	m.link[0].Store(succ)
+	return &m.node
+}
+
+// succ returns n's successor on level lv, read through a marker, and
+// whether n is deleted there.
+func (n *node) succ(lv int) (*node, bool) {
+	s := n.next[lv].Load()
+	if isMarker(s) {
+		return s.next[0].Load(), true
+	}
+	return s, false
+}
+
+// mark deletes n on level lv, reporting whether this call marked it.
+func (n *node) mark(lv int, c *stats.Op) bool {
+	var m *node
+	for {
+		s := n.next[lv].Load()
+		if isMarker(s) {
+			return false
+		}
+		if m == nil {
+			m = newMarker(s)
+		} else {
+			m.next[0].Store(s)
+		}
+		c.IncCAS()
+		if n.next[lv].CompareAndSwap(s, m) {
+			return true
+		}
+	}
 }
 
 type valueCell struct{ v any }
-
-type succ struct {
-	n      *node
-	marked bool
-}
 
 // List is a lock-free skiplist over uint64 keys.
 type List struct {
@@ -59,12 +104,12 @@ func New(seed uint64) *List {
 		seed = 0xC1A551C0DE
 	}
 	l := &List{
-		head: &node{sent: -1, height: MaxHeight, next: make([]dcss.Atom[succ], MaxHeight)},
-		tail: &node{sent: +1, height: MaxHeight, next: make([]dcss.Atom[succ], MaxHeight)},
+		head: &node{sent: -1, height: MaxHeight, next: make([]atomic.Pointer[node], MaxHeight)},
+		tail: &node{sent: +1, height: MaxHeight, next: make([]atomic.Pointer[node], MaxHeight)},
 	}
 	l.rng.Store(seed)
 	for i := 0; i < MaxHeight; i++ {
-		l.head.next[i].Store(succ{n: l.tail})
+		l.head.next[i].Store(l.tail)
 	}
 	return l
 }
@@ -84,40 +129,37 @@ func (n *node) before(key uint64) bool {
 
 // find locates the bracket of key on every level, unlinking marked nodes
 // it passes. succs[0] is the first node >= key (possibly the tail).
-func (l *List) find(key uint64, preds, succs *[MaxHeight]*node, predWs *[MaxHeight]dcss.Witness[succ], c *stats.Op) bool {
+func (l *List) find(key uint64, preds, succs *[MaxHeight]*node, c *stats.Op) bool {
 retry:
 	pred := l.head
 	for lv := MaxHeight - 1; lv >= 0; lv-- {
-		ps, pw := pred.next[lv].Load()
-		if ps.marked {
+		curr := pred.next[lv].Load()
+		if isMarker(curr) {
 			// pred was deleted at this level after the level above
-			// passed it. Its witness is the marked cell, so a CAS
-			// through it would clear the mark and resurrect pred.
+			// passed it: no CAS on its link can succeed any more.
 			goto retry
 		}
-		curr := ps.n
 		for {
 			c.Hop()
-			cs, cw := curr.next[lv].Load()
-			for cs.marked {
-				// Unlink the marked node.
+			next := curr.next[lv].Load()
+			for isMarker(next) {
+				// Unlink the marked node together with its marker.
+				succ := next.next[0].Load()
 				c.IncCAS()
-				npw, ok := pred.next[lv].CompareAndSwap(pw, succ{n: cs.n})
-				if !ok {
+				if !pred.next[lv].CompareAndSwap(curr, succ) {
 					goto retry
 				}
-				pw = npw
-				curr = cs.n
+				curr = succ
 				c.Hop()
-				cs, cw = curr.next[lv].Load()
+				next = curr.next[lv].Load()
 			}
 			if curr.before(key) {
-				pred, pw, curr = curr, cw, cs.n
+				pred, curr = curr, next
 				continue
 			}
 			break
 		}
-		preds[lv], predWs[lv], succs[lv] = pred, pw, curr
+		preds[lv], succs[lv] = pred, curr
 	}
 	return succs[0].sent == 0 && succs[0].key == key
 }
@@ -125,20 +167,19 @@ retry:
 // Insert adds key with an optional value, reporting whether it was absent.
 func (l *List) Insert(key uint64, val any, c *stats.Op) bool {
 	var preds, succs [MaxHeight]*node
-	var predWs [MaxHeight]dcss.Witness[succ]
 	h := l.randomHeight()
-	n := &node{key: key, height: h, next: make([]dcss.Atom[succ], h)}
+	n := &node{key: key, height: h, next: make([]atomic.Pointer[node], h)}
 	if val != nil {
 		n.val.Store(&valueCell{v: val})
 	}
 	for {
-		if l.find(key, &preds, &succs, &predWs, c) {
+		if l.find(key, &preds, &succs, c) {
 			return false
 		}
 		// Link bottom level: the linearization point.
-		n.next[0].Store(succ{n: succs[0]})
+		n.next[0].Store(succs[0])
 		c.IncCAS()
-		if _, ok := preds[0].next[0].CompareAndSwap(predWs[0], succ{n: n}); ok {
+		if preds[0].next[0].CompareAndSwap(succs[0], n) {
 			break
 		}
 	}
@@ -146,23 +187,19 @@ func (l *List) Insert(key uint64, val any, c *stats.Op) bool {
 	// Raise remaining levels.
 	for lv := 1; lv < h; lv++ {
 		for {
-			s, w := n.next[lv].Load()
-			if s.marked {
+			s := n.next[lv].Load()
+			if isMarker(s) {
 				return true // deleted concurrently; stop raising
 			}
-			if s.n != succs[lv] {
-				if _, ok := n.next[lv].CompareAndSwap(w, succ{n: succs[lv]}); !ok {
-					return true // marked under us
-				}
+			if s != succs[lv] && !n.next[lv].CompareAndSwap(s, succs[lv]) {
+				return true // marked under us
 			}
 			c.IncCAS()
-			if _, ok := preds[lv].next[lv].CompareAndSwap(predWs[lv], succ{n: n}); ok {
+			if preds[lv].next[lv].CompareAndSwap(succs[lv], n) {
 				break
 			}
-			if l.find(key, &preds, &succs, &predWs, c) {
-				// Our own node found; keep raising with fresh brackets.
-			}
-			if n.marked(0) {
+			l.find(key, &preds, &succs, c) // fresh brackets
+			if _, marked := n.succ(0); marked {
 				return true
 			}
 		}
@@ -170,45 +207,24 @@ func (l *List) Insert(key uint64, val any, c *stats.Op) bool {
 	return true
 }
 
-func (n *node) marked(lv int) bool {
-	s, _ := n.next[lv].Load()
-	return s.marked
-}
-
 // Delete removes key, reporting whether this call removed it.
 func (l *List) Delete(key uint64, c *stats.Op) bool {
 	var preds, succs [MaxHeight]*node
-	var predWs [MaxHeight]dcss.Witness[succ]
-	if !l.find(key, &preds, &succs, &predWs, c) {
+	if !l.find(key, &preds, &succs, c) {
 		return false
 	}
 	n := succs[0]
 	// Mark from the top of the tower down to level 1.
 	for lv := n.height - 1; lv >= 1; lv-- {
-		for {
-			s, w := n.next[lv].Load()
-			if s.marked {
-				break
-			}
-			c.IncCAS()
-			if _, ok := n.next[lv].CompareAndSwap(w, succ{n: s.n, marked: true}); ok {
-				break
-			}
-		}
+		n.mark(lv, c)
 	}
 	// Mark level 0: the linearization point; only one deleter wins.
-	for {
-		s, w := n.next[0].Load()
-		if s.marked {
-			return false
-		}
-		c.IncCAS()
-		if _, ok := n.next[0].CompareAndSwap(w, succ{n: s.n, marked: true}); ok {
-			l.length.Add(-1)
-			l.find(key, &preds, &succs, &predWs, c) // physical cleanup
-			return true
-		}
+	if !n.mark(0, c) {
+		return false
 	}
+	l.length.Add(-1)
+	l.find(key, &preds, &succs, c) // physical cleanup
+	return true
 }
 
 // Contains reports whether key is present.
@@ -234,24 +250,22 @@ func (l *List) Value(key uint64, c *stats.Op) (any, bool) {
 func (l *List) seek(key uint64, c *stats.Op) (*node, bool) {
 	pred := l.head
 	for lv := MaxHeight - 1; lv >= 0; lv-- {
-		ps, _ := pred.next[lv].Load()
-		curr := ps.n
+		curr, _ := pred.succ(lv)
 		for curr.before(key) {
 			c.Hop()
-			cs, _ := curr.next[lv].Load()
-			pred, curr = curr, cs.n
+			pred = curr
+			curr, _ = curr.succ(lv)
 		}
 	}
-	// pred < key <= pred.next[0]; skip marked nodes rightward.
-	s, _ := pred.next[0].Load()
-	curr := s.n
+	// pred < key <= pred's successor; skip marked nodes rightward.
+	curr, _ := pred.succ(0)
 	for curr.sent == 0 {
 		c.Hop()
-		cs, _ := curr.next[0].Load()
-		if !cs.marked {
+		next, marked := curr.succ(0)
+		if !marked {
 			return curr, true
 		}
-		curr = cs.n
+		curr = next
 	}
 	return nil, false
 }
@@ -259,8 +273,7 @@ func (l *List) seek(key uint64, c *stats.Op) (*node, bool) {
 // Predecessor returns the largest key <= x.
 func (l *List) Predecessor(x uint64, c *stats.Op) (uint64, bool) {
 	var preds, succs [MaxHeight]*node
-	var predWs [MaxHeight]dcss.Witness[succ]
-	if l.find(x, &preds, &succs, &predWs, c) {
+	if l.find(x, &preds, &succs, c) {
 		return x, true
 	}
 	if preds[0].sent == 0 {
@@ -285,10 +298,10 @@ func (l *List) Validate() error {
 	for lv := 0; lv < MaxHeight; lv++ {
 		prev := uint64(0)
 		first := true
-		s, _ := l.head.next[lv].Load()
-		for n := s.n; n.sent == 0; {
-			ns, _ := n.next[lv].Load()
-			if !ns.marked {
+		n, _ := l.head.succ(lv)
+		for n.sent == 0 {
+			next, marked := n.succ(lv)
+			if !marked {
 				if !first && n.key <= prev {
 					return fmt.Errorf("cskiplist: level %d out of order: %d after %d", lv, n.key, prev)
 				}
@@ -297,7 +310,7 @@ func (l *List) Validate() error {
 					count++
 				}
 			}
-			n = ns.n
+			n = next
 		}
 	}
 	if count != l.Len() {

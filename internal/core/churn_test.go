@@ -3,8 +3,10 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"skiptrie/internal/skiplist"
 	"skiptrie/internal/testenv"
 )
 
@@ -57,6 +59,87 @@ func TestConcurrentSameKeyChurnTrieClean(t *testing.T) {
 		wg.Wait()
 		if err := s.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
+		}
+	}
+}
+
+// TestRaiseTornDownTrieClean replays the window in which a tower raise
+// lands on the top level after a delete of its key stopped the tower and
+// scanned that level. The insert then tears its new top node down
+// itself, and until it marks the node a neighbour's DeleteWalk can swing
+// a trie pointer onto it. The insert of K parks before its top-level
+// raise while K is deleted, then again just before marking its own top
+// node while the adjacent top-level key Y is deleted through the
+// SkipTrie; the trie must be clean once the insert returns. Raises are
+// plain CASes with or without DCSS, so both modes run it.
+func TestRaiseTornDownTrieClean(t *testing.T) {
+	const k, y = 0x1000, 0x2000
+	for _, noDCSS := range []bool{false, true} {
+		s := New[struct{}](Config{Width: 16, DisableDCSS: noDCSS, Seed: 1})
+		top := s.Levels() - 1
+		onTop := func(key uint64) bool {
+			n := s.trie.Pred(key, false, nil)
+			return n.IsData() && n.Key() == key && !n.Marked()
+		}
+		for i := 0; !onTop(y); i++ {
+			if i == 1000 {
+				t.Fatal("no tower of Y reached the top level")
+			}
+			s.Delete(y, nil)
+			s.Add(y, nil)
+		}
+
+		// Each site parks once: a retried mark CAS passes its site again.
+		parked := make(chan string)
+		resume := make(chan struct{})
+		var marking atomic.Bool
+		restore := skiplist.SetTestHook(func(site string, n *skiplist.Node) {
+			if n.Key() != k || n.Level() != top {
+				return
+			}
+			if site == "insert.before-raise" ||
+				site == "delete.before-mark" && marking.CompareAndSwap(false, true) {
+				parked <- site
+				<-resume
+			}
+		})
+		var done chan struct{}
+		for i := 0; ; i++ {
+			if i == 1000 {
+				restore()
+				t.Fatal("no tower of K reached the top level")
+			}
+			done = make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Add(k, nil)
+			}()
+			select {
+			case site := <-parked:
+				if site != "insert.before-raise" {
+					t.Fatalf("noDCSS=%v: insert parked at %s, want insert.before-raise", noDCSS, site)
+				}
+			case <-done:
+				s.Delete(k, nil) // the tower stayed below the top: draw again
+				continue
+			}
+			break
+		}
+		if !s.Delete(k, nil) {
+			t.Fatalf("noDCSS=%v: delete of the parked insert's key failed", noDCSS)
+		}
+		resume <- struct{}{}
+		if site := <-parked; site != "delete.before-mark" {
+			t.Fatalf("noDCSS=%v: insert parked at %s, want delete.before-mark", noDCSS, site)
+		}
+		if !s.Delete(y, nil) {
+			t.Fatalf("noDCSS=%v: delete of the neighbour failed", noDCSS)
+		}
+		resume <- struct{}{}
+		<-done
+		restore()
+		if err := s.Validate(); err != nil {
+			t.Errorf("noDCSS=%v: %v", noDCSS, err)
 		}
 	}
 }

@@ -130,7 +130,9 @@ func (s *SkipTrie[V]) local(key uint64) (uint64, bool) {
 func (s *SkipTrie[V]) localMax() uint64 { return ^uint64(0) >> (64 - s.width) }
 
 // insertWalkIfTop completes an insert whose tower reached the top level:
-// the key's prefixes enter the x-fast trie (Alg 6 lines 5-19).
+// the key's prefixes enter the x-fast trie (Alg 6 lines 5-19), or, if a
+// delete already stopped the tower and the insert tore its top node down
+// itself, the node is disconnected from the trie (xfast.InsertWalk).
 func (s *SkipTrie[V]) insertWalkIfTop(res skiplist.InsertResult, c *stats.Op) {
 	if res.Top != nil {
 		c.TouchTrie()

@@ -16,13 +16,6 @@ func (l *List[V]) UpsertWithHeight(key uint64, val V, start *Node, h int, c *sta
 // RandomHeight exposes the striped height draw for the RNG tests.
 func (l *Topology) RandomHeight() int { return l.randomHeight() }
 
-// SetTestHook installs a synchronization-point hook and returns a restore
-// function.
-func SetTestHook(fn func(site string, n *Node)) (restore func()) {
-	testHook = fn
-	return func() { testHook = nil }
-}
-
 // UpsertHintedWithHeight is UpsertHinted with the tower height fixed by
 // the caller.
 func (l *List[V]) UpsertHintedWithHeight(key uint64, val V, start *Node, h int, hint *Hint, c *stats.Op) InsertResult {

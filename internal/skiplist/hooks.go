@@ -9,6 +9,14 @@ package skiplist
 // set it; the nil check is the only cost.
 var testHook func(site string, n *Node)
 
+// SetTestHook installs a synchronization-point hook and returns a restore
+// function. It is exported for the tests of the layers above (core), which
+// replay interleavings that span the skiplist and the trie.
+func SetTestHook(fn func(site string, n *Node)) (restore func()) {
+	testHook = fn
+	return func() { testHook = nil }
+}
+
 func hook(site string, n *Node) {
 	if testHook != nil {
 		testHook(site, n)

@@ -278,7 +278,10 @@ type InsertResult struct {
 	Inserted bool
 	Existing *Node // level-0 node of the already-present key, if any
 	Root     *Node // level-0 node this call created, nil if already present
-	Top      *Node // top-level node if the tower reached the top, else nil
+	// Top is the top-level node if the tower reached the top, else nil.
+	// It is already marked when a delete stopped the tower and the insert
+	// tore its top node down itself; the trie walk then disconnects it.
+	Top *Node
 }
 
 // Insert adds key to the list, starting the descent from start (nil for
@@ -413,9 +416,16 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 			// teardown scanned this level, which would then never mark
 			// it: tear the level down here, the way Delete does. A
 			// delete that stops the tower after this load scans this
-			// level later and finds the node itself.
+			// level later and finds the node itself. A torn-down top
+			// node is still reported: until it was marked, a
+			// neighbour's trie walk may have pointed a prefix at it,
+			// and no delete reports it to move that pointer off.
 			l.removeLevel(tn, br.Left, c)
-			return InsertResult{Inserted: true, Root: root}
+			res := InsertResult{Inserted: true, Root: root}
+			if lv == l.levels-1 {
+				res.Top = tn
+			}
+			return res
 		}
 	}
 	if h == l.levels {

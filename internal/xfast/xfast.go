@@ -239,8 +239,19 @@ func (t *Trie) Pred(key uint64, strict bool, c *stats.Op) *skiplist.Node {
 // InsertWalk is lines 5-19 of the paper's Algorithm 6: after node reached
 // the skiplist's top level, walk its proper prefixes longest-first and make
 // each trie level reflect it. The walk stops early if node gets marked.
+//
+// A node already marked when the walk starts is disconnected instead
+// (DeleteWalk). Its insert may have torn it down itself, its raise having
+// landed after a delete of its key scanned the top level; no delete then
+// reports it, yet while it was linked a neighbour's DeleteWalk may have
+// swung a pointer onto it. If a delete did report it, the second walk is
+// a no-op.
 func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 	key := node.Key()
+	if node.Marked() {
+		t.DeleteWalk(key, node, node, c)
+		return
+	}
 	for l := int(t.width) - 1; l >= 0; l-- {
 		p := uintbits.PrefixOf(key, uint8(l), t.width)
 		d := uintbits.Bit(key, uint8(l), t.width)
