@@ -103,10 +103,10 @@ func TestRaiseTornDownTrieClean(t *testing.T) {
 				<-resume
 			}
 		})
+		t.Cleanup(restore) // a failed step must not leave the hook parking later tests
 		var done chan struct{}
 		for i := 0; ; i++ {
 			if i == 1000 {
-				restore()
 				t.Fatal("no tower of K reached the top level")
 			}
 			done = make(chan struct{})
