@@ -13,12 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"strings"
 
 	"skiptrie/internal/core"
 	"skiptrie/internal/harness"
-	"skiptrie/internal/uintbits"
 )
 
 func main() {
@@ -98,7 +98,7 @@ func run() int {
 		sp.TriePrefix, sp.HashBuckets, float64(sp.TriePrefix)/float64(len(keys)))
 	fmt.Printf("  expectation: tops * W / overlap ~= %d nodes for %d tops\n",
 		estimateTrieNodes(topCount, *width), topCount)
-	fmt.Printf("  binary search depth per query: %d probes\n", uintbits.Levels(uint8(*width))-1+2)
+	fmt.Printf("  search bound per query: at most %d probes\n", max(2*bits.Len(uint(*width-1)), 1))
 	return 0
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -250,6 +251,14 @@ func TestDifferentialRandom(t *testing.T) {
 	}
 }
 
+// ceilLog2 returns ⌈log2 w⌉ for w >= 1.
+func ceilLog2(w uint8) int { return bits.Len8(w - 1) }
+
+// probeBound is the most hash probes the tests allow one search:
+// 2⌈log2 W⌉+2, the x-fast search's O(log log u) worst case
+// (2⌈log2 W⌉, see xfast.LowestAncestor) with two probes to spare.
+func probeBound(w uint8) uint64 { return uint64(2*ceilLog2(w) + 2) }
+
 func TestStatsAccounting(t *testing.T) {
 	s := newTrie(32)
 	for k := uint64(0); k < 5000; k++ {
@@ -263,9 +272,8 @@ func TestStatsAccounting(t *testing.T) {
 	if op.HashProbes == 0 {
 		t.Fatal("predecessor recorded no hash probes")
 	}
-	// The binary search costs about log W probes.
-	if op.HashProbes > 3*6+2 {
-		t.Fatalf("predecessor used %d probes, want about log2(32)=5", op.HashProbes)
+	if op.HashProbes > probeBound(32) {
+		t.Fatalf("predecessor used %d probes, want at most %d", op.HashProbes, probeBound(32))
 	}
 	// Insert accounting marks trie touches only for top-level towers.
 	touched, total := 0, 2000

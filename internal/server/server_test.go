@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,31 @@ func dial(t *testing.T, addr string) *wire.Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// serverGoroutines counts the goroutines running code of package server:
+// those with a frame of it on their stack. Unlike runtime.NumGoroutine,
+// it ignores the test binary's other goroutines, such as those of earlier
+// tests that are still exiting.
+func serverGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		// A frame's function line starts a line; "created by" lines don't
+		// match.
+		if strings.Contains(g, "\nskiptrie/internal/server.") {
+			count++
+		}
+	}
+	return count
 }
 
 // waitFor polls cond for up to 5s.
@@ -280,7 +306,6 @@ func TestServerBusyBackpressure(t *testing.T) {
 	srv, addr := start(t, server.Config{})
 
 	const idle = 32
-	base := runtime.NumGoroutine()
 	for i := 0; i < idle; i++ {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -290,9 +315,10 @@ func TestServerBusyBackpressure(t *testing.T) {
 	}
 	waitFor(t, "idle connections registered", func() bool { return srv.Stats().ConnsOpen == idle })
 	// Registration precedes the goroutine's start; the count must then
-	// settle at exactly one goroutine per connection.
+	// settle at exactly one goroutine per connection, beside Serve's
+	// accept loop.
 	waitFor(t, fmt.Sprintf("%d goroutines for %d idle connections", idle, idle), func() bool {
-		return runtime.NumGoroutine()-base == idle
+		return serverGoroutines()-1 == idle
 	})
 
 	c := dial(t, addr)

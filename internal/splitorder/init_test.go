@@ -15,7 +15,7 @@ func TestConcurrentBucketInitialization(t *testing.T) {
 	// buckets.
 	const n = 20000
 	for i := uint64(0); i < n; i++ {
-		m.Insert(i, i)
+		m.Insert(i, set(i))
 	}
 	// Fresh map with the same content but grown lazily under concurrency:
 	m2 := New[uint64]()
@@ -25,7 +25,7 @@ func TestConcurrentBucketInitialization(t *testing.T) {
 		go func(g uint64) {
 			defer wg.Done()
 			for i := g; i < n; i += 8 {
-				if !m2.Insert(i, i) {
+				if !m2.Insert(i, set(i)) {
 					t.Errorf("insert %d failed", i)
 					return
 				}
@@ -40,8 +40,8 @@ func TestConcurrentBucketInitialization(t *testing.T) {
 		go func(g uint64) {
 			defer rg.Done()
 			for i := g; i < n; i += 8 {
-				if v, ok := m2.Lookup(i); !ok || v != i {
-					t.Errorf("lookup %d = %d, %v", i, v, ok)
+				if v := m2.Lookup(i); v == nil || *v != i {
+					t.Errorf("lookup %d = %v", i, v)
 					return
 				}
 			}
@@ -64,7 +64,7 @@ func TestListStaysSortedBySplitOrder(t *testing.T) {
 	const n = 5000
 	m := New[int]()
 	for i := uint64(0); i < n; i++ {
-		m.Insert(i*2654435761, int(i))
+		m.Insert(i*2654435761, set(int(i)))
 	}
 	gone := map[uint64]bool{}
 	for i := uint64(0); i < n; i += 3 {
@@ -113,12 +113,12 @@ func TestListStaysSortedBySplitOrder(t *testing.T) {
 		t.Fatalf("walked %d live and %d marked nodes, want %d and 1..%d", live, marked, n-len(gone), len(gone))
 	}
 	ranged := 0
-	m.Range(func(k uint64, v int) bool {
+	m.Range(func(k uint64, v *int) bool {
 		if gone[k] {
 			t.Fatalf("Range yielded deleted key %x", k)
 		}
-		if want := int(k / 2654435761); v != want {
-			t.Fatalf("Range yielded %x -> %d, want %d", k, v, want)
+		if want := int(k / 2654435761); *v != want {
+			t.Fatalf("Range yielded %x -> %d, want %d", k, *v, want)
 		}
 		ranged++
 		return true
@@ -128,7 +128,7 @@ func TestListStaysSortedBySplitOrder(t *testing.T) {
 	}
 
 	for k := range gone {
-		if _, ok := m.Lookup(k); ok {
+		if m.Lookup(k) != nil {
 			t.Fatalf("lookup of deleted key %x succeeded", k)
 		}
 	}
@@ -157,15 +157,17 @@ func markOnly(t *testing.T, m *Map[int], key uint64) {
 }
 
 // TestInsertDeleteAllocs pins the allocation cost of the marker
-// representation: a fresh Insert allocates only its node and a Delete
-// only its marker. Every bucket's sentinel is spliced in beforehand and
-// the table holds far fewer items than its growth threshold, so lazy
-// bucket initialization stays out of the measurement.
+// representation and of in-place values: a fresh Insert allocates only
+// its node, value included, and a Delete only its marker. Every bucket's
+// sentinel is spliced in beforehand and the table holds far fewer items
+// than its growth threshold, so lazy bucket initialization stays out of
+// the measurement.
 func TestInsertDeleteAllocs(t *testing.T) {
 	const runs = 1000
 	m := New[int]()
+	one := func(v *int) { *v = 1 }
 	for i := uint64(0); i < 4*runs; i++ {
-		m.Insert(i, 1)
+		m.Insert(i, one)
 	}
 	for i := uint64(0); i < 4*runs; i++ {
 		m.Delete(i)
@@ -175,7 +177,7 @@ func TestInsertDeleteAllocs(t *testing.T) {
 	}
 	next := uint64(1 << 32)
 	if got := testing.AllocsPerRun(runs, func() {
-		m.Insert(next, 1)
+		m.Insert(next, one)
 		next++
 	}); got != 1 {
 		t.Fatalf("fresh Insert allocates %v objects, want 1", got)

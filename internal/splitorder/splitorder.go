@@ -10,10 +10,17 @@
 // lazily inserting one new sentinel node. Nothing is ever rehashed or
 // moved.
 //
+// Values live in place: each list node holds its value inline, Insert
+// initializes it there before the node is published, and Lookup, Delete
+// and Range hand out its address. A hit therefore reaches the value with
+// no load beyond the node's own, and an entry costs one allocation. An
+// entry's identity is its value's address: a key deleted and inserted
+// again gets a new node, so the two incarnations never share an address.
+//
 // In addition to the usual operations, the SkipTrie requires
-// CompareAndDelete(key, v), which removes the entry iff it currently maps
-// to exactly v (Section 4, "The hash table"). This is the hook that lets
-// trie-node tombstoning be helped by concurrent inserts without ever
+// CompareAndDelete(key, v), which removes the entry iff its value is the
+// one at address v (Section 4, "The hash table"). This is the hook that
+// lets trie-node tombstoning be helped by concurrent inserts without ever
 // deleting a newer incarnation of the same prefix.
 //
 // # Marker nodes
@@ -36,7 +43,8 @@
 // A walk visits each node with one dependent load (its header holds the
 // code, key, value and next pointer), and whether a node is deleted is
 // read from the node it links to, which the walk visits next anyway. An
-// Insert allocates its node and a Delete its marker, nothing more.
+// Insert allocates its node (value included) and a Delete its marker,
+// nothing more.
 //
 // # Split-order codes
 //
@@ -74,28 +82,29 @@ const (
 	markerCode = 2
 )
 
-// Map is a lock-free hash map from uint64 keys to values of type V.
-// V must be comparable to support CompareAndDelete. The zero Map is not
-// ready for use; call New.
-type Map[V comparable] struct {
+// Map is a lock-free hash map from uint64 keys to values of type V, each
+// held in place in its list node. The zero Map is not ready for use; call
+// New.
+type Map[V any] struct {
 	dir   [dirSize]atomic.Pointer[segment[V]]
 	size  atomic.Uint64 // current bucket count, a power of two
 	count atomic.Int64  // regular (non-sentinel) items, approximate
 }
 
-type segment[V comparable] [segSize]atomic.Pointer[node[V]]
+type segment[V any] [segSize]atomic.Pointer[node[V]]
 
 // node is a regular item (odd code), a bucket sentinel (even code) or a
-// marker (markerCode). A node is deleted iff its next is a marker.
-type node[V comparable] struct {
+// marker (markerCode). A node is deleted iff its next is a marker. Only a
+// regular item's val is used.
+type node[V any] struct {
 	code uint64 // split-order code
 	key  uint64 // original key (regular) or bucket index (sentinel)
-	val  V
 	next atomic.Pointer[node[V]]
+	val  V
 }
 
 // New returns an empty map.
-func New[V comparable]() *Map[V] {
+func New[V any]() *Map[V] {
 	m := &Map[V]{}
 	m.size.Store(initialBuckets)
 	return m
@@ -123,33 +132,40 @@ func (n *node[V]) before(code, key uint64) bool {
 
 // deleted reports whether next, loaded from some node's next field, marks
 // that node deleted.
-func deleted[V comparable](next *node[V]) bool {
+func deleted[V any](next *node[V]) bool {
 	return next != nil && next.code == markerCode
 }
 
-// Lookup returns the value stored under key.
-func (m *Map[V]) Lookup(key uint64) (V, bool) {
+// Lookup returns the address of the value stored under key, or nil if
+// key is absent.
+func (m *Map[V]) Lookup(key uint64) *V {
 	h := hash63(key)
 	code := regularCode(h)
 	start := m.sentinel(h & (m.size.Load() - 1))
 	_, curr := m.search(start, code, key)
 	if curr != nil && curr.code == code && curr.key == key {
-		return curr.val, true
+		return &curr.val
 	}
-	var zero V
-	return zero, false
+	return nil
 }
 
-// Insert adds key -> v if key is absent and reports whether it did.
-func (m *Map[V]) Insert(key uint64, v V) bool {
+// Insert adds key if it is absent and reports whether it did. init
+// initializes the new entry's value in place before the entry is
+// published; it is called at most once, and not at all when key is
+// already present.
+func (m *Map[V]) Insert(key uint64, init func(v *V)) bool {
 	h := hash63(key)
 	code := regularCode(h)
-	n := &node[V]{code: code, key: key, val: v}
+	var n *node[V]
 	for {
 		start := m.sentinel(h & (m.size.Load() - 1))
 		pred, curr := m.search(start, code, key)
 		if curr != nil && curr.code == code && curr.key == key {
 			return false
+		}
+		if n == nil {
+			n = &node[V]{code: code, key: key}
+			init(&n.val)
 		}
 		n.next.Store(curr)
 		if pred.next.CompareAndSwap(curr, n) {
@@ -160,21 +176,22 @@ func (m *Map[V]) Insert(key uint64, v V) bool {
 	}
 }
 
-// Delete removes key and returns the value it held.
-func (m *Map[V]) Delete(key uint64) (V, bool) {
+// Delete removes key and returns the address of the value it held, or
+// nil if key was absent. The value stays readable through that address.
+func (m *Map[V]) Delete(key uint64) *V {
 	return m.deleteIf(key, nil)
 }
 
-// CompareAndDelete removes key iff it currently maps to exactly want,
-// reporting whether it removed the entry. This is the extra method the
-// SkipTrie's trie-node tombstoning requires.
-func (m *Map[V]) CompareAndDelete(key uint64, want V) bool {
-	_, ok := m.deleteIf(key, func(v V) bool { return v == want })
-	return ok
+// CompareAndDelete removes key iff its entry's value is the one at
+// address want, reporting whether it removed the entry. This is the extra
+// method the SkipTrie's trie-node tombstoning requires.
+func (m *Map[V]) CompareAndDelete(key uint64, want *V) bool {
+	return want != nil && m.deleteIf(key, want) != nil
 }
 
-func (m *Map[V]) deleteIf(key uint64, pred func(V) bool) (V, bool) {
-	var zero V
+// deleteIf removes key, if want is non-nil only while its entry's value
+// is the one at want, and returns the removed value's address.
+func (m *Map[V]) deleteIf(key uint64, want *V) *V {
 	h := hash63(key)
 	code := regularCode(h)
 	var marker *node[V]
@@ -182,10 +199,10 @@ func (m *Map[V]) deleteIf(key uint64, pred func(V) bool) (V, bool) {
 		start := m.sentinel(h & (m.size.Load() - 1))
 		p, curr := m.search(start, code, key)
 		if curr == nil || curr.code != code || curr.key != key {
-			return zero, false
+			return nil
 		}
-		if pred != nil && !pred(curr.val) {
-			return zero, false
+		if want != nil && &curr.val != want {
+			return nil
 		}
 		next := curr.next.Load()
 		if deleted(next) {
@@ -199,7 +216,7 @@ func (m *Map[V]) deleteIf(key uint64, pred func(V) bool) (V, bool) {
 			m.count.Add(-1)
 			// Best-effort physical unlink; searches clean up otherwise.
 			p.next.CompareAndSwap(curr, next)
-			return curr.val, true
+			return &curr.val
 		}
 	}
 }
@@ -309,10 +326,10 @@ func (m *Map[V]) Buckets() int {
 	return int(m.size.Load())
 }
 
-// Range calls fn on each key/value pair until fn returns false. The
-// iteration is weakly consistent: it reflects some interleaving of
-// concurrent updates.
-func (m *Map[V]) Range(fn func(key uint64, v V) bool) {
+// Range calls fn on each key and the address of its value until fn
+// returns false. The iteration is weakly consistent: it reflects some
+// interleaving of concurrent updates.
+func (m *Map[V]) Range(fn func(key uint64, v *V) bool) {
 	curr := m.sentinel(0)
 	for curr != nil {
 		next := curr.next.Load()
@@ -320,7 +337,7 @@ func (m *Map[V]) Range(fn func(key uint64, v V) bool) {
 			curr = next.next.Load()
 			continue
 		}
-		if curr.code&1 == 1 && !fn(curr.key, curr.val) {
+		if curr.code&1 == 1 && !fn(curr.key, &curr.val) {
 			return
 		}
 		curr = next

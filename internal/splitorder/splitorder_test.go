@@ -8,9 +8,12 @@ import (
 	"testing/quick"
 )
 
+// set returns an Insert initializer that stores v.
+func set[V any](v V) func(*V) { return func(p *V) { *p = v } }
+
 func TestEmptyLookup(t *testing.T) {
 	m := New[int]()
-	if _, ok := m.Lookup(42); ok {
+	if m.Lookup(42) != nil {
 		t.Fatal("lookup on empty map succeeded")
 	}
 	if m.Len() != 0 {
@@ -20,24 +23,23 @@ func TestEmptyLookup(t *testing.T) {
 
 func TestInsertLookupDelete(t *testing.T) {
 	m := New[string]()
-	if !m.Insert(1, "one") {
+	if !m.Insert(1, set("one")) {
 		t.Fatal("insert failed")
 	}
-	if m.Insert(1, "uno") {
+	if m.Insert(1, func(*string) { t.Fatal("duplicate insert initialized a value") }) {
 		t.Fatal("duplicate insert succeeded")
 	}
-	v, ok := m.Lookup(1)
-	if !ok || v != "one" {
-		t.Fatalf("lookup = %q, %v", v, ok)
+	v := m.Lookup(1)
+	if v == nil || *v != "one" {
+		t.Fatalf("lookup = %v", v)
 	}
-	v, ok = m.Delete(1)
-	if !ok || v != "one" {
-		t.Fatalf("delete = %q, %v", v, ok)
+	if got := m.Delete(1); got != v || *got != "one" {
+		t.Fatalf("delete = %v, want the looked-up address %p", got, v)
 	}
-	if _, ok := m.Lookup(1); ok {
+	if m.Lookup(1) != nil {
 		t.Fatal("lookup after delete succeeded")
 	}
-	if _, ok := m.Delete(1); ok {
+	if m.Delete(1) != nil {
 		t.Fatal("second delete succeeded")
 	}
 }
@@ -45,14 +47,14 @@ func TestInsertLookupDelete(t *testing.T) {
 func TestZeroKeyAndMaxKey(t *testing.T) {
 	m := New[int]()
 	for _, k := range []uint64{0, ^uint64(0), 1, 1 << 63} {
-		if !m.Insert(k, int(k%97)) {
+		if !m.Insert(k, set(int(k%97))) {
 			t.Fatalf("insert %x failed", k)
 		}
 	}
 	for _, k := range []uint64{0, ^uint64(0), 1, 1 << 63} {
-		v, ok := m.Lookup(k)
-		if !ok || v != int(k%97) {
-			t.Fatalf("lookup %x = %d, %v", k, v, ok)
+		v := m.Lookup(k)
+		if v == nil || *v != int(k%97) {
+			t.Fatalf("lookup %x = %v", k, v)
 		}
 	}
 }
@@ -61,7 +63,7 @@ func TestManyKeysWithResize(t *testing.T) {
 	m := New[uint64]()
 	const n = 10000
 	for i := uint64(0); i < n; i++ {
-		if !m.Insert(i, i*i) {
+		if !m.Insert(i, set(i*i)) {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
@@ -72,19 +74,19 @@ func TestManyKeysWithResize(t *testing.T) {
 		t.Fatalf("table never grew: %d buckets", m.Buckets())
 	}
 	for i := uint64(0); i < n; i++ {
-		v, ok := m.Lookup(i)
-		if !ok || v != i*i {
-			t.Fatalf("lookup %d = %d, %v", i, v, ok)
+		v := m.Lookup(i)
+		if v == nil || *v != i*i {
+			t.Fatalf("lookup %d = %v", i, v)
 		}
 	}
 	// Delete the odd half, verify the even half intact.
 	for i := uint64(1); i < n; i += 2 {
-		if _, ok := m.Delete(i); !ok {
+		if m.Delete(i) == nil {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		_, ok := m.Lookup(i)
+		ok := m.Lookup(i) != nil
 		if want := i%2 == 0; ok != want {
 			t.Fatalf("lookup %d = %v, want %v", i, ok, want)
 		}
@@ -95,19 +97,22 @@ func TestManyKeysWithResize(t *testing.T) {
 }
 
 func TestCompareAndDelete(t *testing.T) {
-	m := New[*int]()
-	a, b := new(int), new(int)
-	m.Insert(5, a)
-	if m.CompareAndDelete(5, b) {
-		t.Fatal("CompareAndDelete with wrong value succeeded")
+	m := New[int]()
+	m.Insert(5, set(1))
+	a := m.Lookup(5)
+	// b holds an equal value at another address: identity is the address.
+	b := new(int)
+	*b = *a
+	if m.CompareAndDelete(5, b) || m.CompareAndDelete(5, nil) {
+		t.Fatal("CompareAndDelete with wrong address succeeded")
 	}
-	if _, ok := m.Lookup(5); !ok {
+	if m.Lookup(5) != a {
 		t.Fatal("entry vanished after failed CompareAndDelete")
 	}
 	if !m.CompareAndDelete(5, a) {
-		t.Fatal("CompareAndDelete with right value failed")
+		t.Fatal("CompareAndDelete with right address failed")
 	}
-	if _, ok := m.Lookup(5); ok {
+	if m.Lookup(5) != nil {
 		t.Fatal("entry survived CompareAndDelete")
 	}
 	if m.CompareAndDelete(5, a) {
@@ -116,18 +121,22 @@ func TestCompareAndDelete(t *testing.T) {
 }
 
 func TestCompareAndDeleteVsReinsert(t *testing.T) {
-	// The SkipTrie pattern: delete node a, reinsert under the same key as
-	// node b; a stale CompareAndDelete(key, a) must NOT remove b.
-	m := New[*int]()
-	a, b := new(int), new(int)
-	m.Insert(9, a)
+	// The SkipTrie pattern: delete entry a, reinsert the same key with an
+	// equal value as entry b; a stale CompareAndDelete(key, a) must NOT
+	// remove b.
+	m := New[int]()
+	m.Insert(9, set(1))
+	a := m.Lookup(9)
 	m.Delete(9)
-	m.Insert(9, b)
+	m.Insert(9, set(1))
+	b := m.Lookup(9)
+	if a == b {
+		t.Fatal("reinsert reused the deleted entry's address")
+	}
 	if m.CompareAndDelete(9, a) {
 		t.Fatal("stale CompareAndDelete removed the new incarnation")
 	}
-	got, ok := m.Lookup(9)
-	if !ok || got != b {
+	if m.Lookup(9) != b {
 		t.Fatal("new incarnation lost")
 	}
 }
@@ -137,12 +146,15 @@ func TestRange(t *testing.T) {
 	want := map[uint64]uint64{}
 	for i := uint64(0); i < 500; i++ {
 		k := i * 2654435761
-		m.Insert(k, i)
+		m.Insert(k, set(i))
 		want[k] = i
 	}
 	got := map[uint64]uint64{}
-	m.Range(func(k uint64, v uint64) bool {
-		got[k] = v
+	m.Range(func(k uint64, v *uint64) bool {
+		if v != m.Lookup(k) {
+			t.Fatalf("Range[%d] yielded %p, Lookup %p", k, v, m.Lookup(k))
+		}
+		got[k] = *v
 		return true
 	})
 	if len(got) != len(want) {
@@ -158,10 +170,10 @@ func TestRange(t *testing.T) {
 func TestRangeEarlyStop(t *testing.T) {
 	m := New[int]()
 	for i := uint64(0); i < 100; i++ {
-		m.Insert(i, 1)
+		m.Insert(i, set(1))
 	}
 	n := 0
-	m.Range(func(uint64, int) bool {
+	m.Range(func(uint64, *int) bool {
 		n++
 		return n < 10
 	})
@@ -277,7 +289,7 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 			defer wg.Done()
 			for i := uint64(0); i < perG; i++ {
 				k := g*perG + i
-				if !m.Insert(k, k+1) {
+				if !m.Insert(k, set(k+1)) {
 					t.Errorf("insert %d failed", k)
 					return
 				}
@@ -289,9 +301,9 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", m.Len(), workers*perG)
 	}
 	for k := uint64(0); k < workers*perG; k++ {
-		v, ok := m.Lookup(k)
-		if !ok || v != k+1 {
-			t.Fatalf("lookup %d = %d, %v", k, v, ok)
+		v := m.Lookup(k)
+		if v == nil || *v != k+1 {
+			t.Fatalf("lookup %d = %v", k, v)
 		}
 	}
 }
@@ -317,11 +329,11 @@ func TestConcurrentInsertDeleteSameKeys(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				k := uint64(rng.Intn(keys))
 				if rng.Intn(2) == 0 {
-					if m.Insert(k, 1) {
+					if m.Insert(k, set(1)) {
 						localIns[k]++
 					}
 				} else {
-					if _, ok := m.Delete(k); ok {
+					if m.Delete(k) != nil {
 						localDel[k]++
 					}
 				}
@@ -337,7 +349,7 @@ func TestConcurrentInsertDeleteSameKeys(t *testing.T) {
 	wg.Wait()
 	total := 0
 	for k := 0; k < keys; k++ {
-		_, present := m.Lookup(uint64(k))
+		present := m.Lookup(uint64(k)) != nil
 		wantPresent := inserted[k]-deleted[k] == 1
 		if inserted[k]-deleted[k] != 0 && inserted[k]-deleted[k] != 1 {
 			t.Fatalf("key %d: %d inserts vs %d deletes", k, inserted[k], deleted[k])
@@ -355,14 +367,14 @@ func TestConcurrentInsertDeleteSameKeys(t *testing.T) {
 }
 
 func TestConcurrentCompareAndDelete(t *testing.T) {
-	// N workers race to CompareAndDelete the same (key, value); exactly one
-	// must win per round.
-	m := New[*int]()
+	// N workers race to CompareAndDelete the same (key, value address);
+	// exactly one must win per round.
+	m := New[int]()
 	const rounds = 500
 	const workers = 6
 	for r := 0; r < rounds; r++ {
-		v := new(int)
-		m.Insert(7, v)
+		m.Insert(7, set(r))
+		v := m.Lookup(7)
 		var wins int64
 		var mu sync.Mutex
 		var wg sync.WaitGroup
@@ -388,7 +400,7 @@ func TestConcurrentLookupDuringChurn(t *testing.T) {
 	m := New[uint64]()
 	const stable = 512
 	for i := uint64(0); i < stable; i++ {
-		m.Insert(i, i)
+		m.Insert(i, set(i))
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -406,7 +418,7 @@ func TestConcurrentLookupDuringChurn(t *testing.T) {
 				}
 				k := stable + uint64(rng.Intn(1024))
 				if rng.Intn(2) == 0 {
-					m.Insert(k, k)
+					m.Insert(k, set(k))
 				} else {
 					m.Delete(k)
 				}
@@ -416,7 +428,7 @@ func TestConcurrentLookupDuringChurn(t *testing.T) {
 	// Readers must always see the stable range.
 	for round := 0; round < 50; round++ {
 		for i := uint64(0); i < stable; i++ {
-			if v, ok := m.Lookup(i); !ok || v != i {
+			if v := m.Lookup(i); v == nil || *v != i {
 				close(stop)
 				t.Fatalf("stable key %d lost during churn", i)
 			}

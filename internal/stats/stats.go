@@ -11,8 +11,7 @@ package stats
 
 // Op accumulates the step count of a single structure operation, split by
 // component so experiments can attribute cost the way the paper's analysis
-// does (binary search in the trie vs. list traversal vs. retried
-// CAS/DCSS).
+// does (search in the trie vs. list traversal vs. retried CAS/DCSS).
 type Op struct {
 	Hops       uint64 // node-to-node pointer traversals (list cost)
 	CAS        uint64 // CAS attempts (successful or not)

@@ -178,8 +178,8 @@ func TestInsertWalkHelpsMarkedPointer(t *testing.T) {
 			t.Fatalf("noDCSS=%v: delete of %d did not report its top-level node", noDCSS, x.Key())
 		}
 		// X's DeleteWalk at the root prefix, up to its swing.
-		tn, ok := r.trie.lookup(uintbits.Prefix{}, nil)
-		if !ok {
+		tn := r.trie.lookup(uintbits.Prefix{}, nil)
+		if tn == nil {
 			t.Fatalf("noDCSS=%v: root prefix missing", noDCSS)
 		}
 		pair, w := tn.pointers.Load()
