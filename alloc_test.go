@@ -17,18 +17,26 @@ func allocsPerRun(runs int, f func()) float64 {
 	return testing.AllocsPerRun(runs, f)
 }
 
+// allocsPerCall measures runs runs of calls calls to f each and returns
+// the mean per call. testing.AllocsPerRun truncates its mean to a whole
+// number, so a zero-allocation gate that made one call per run would
+// read 0 for one allocation every two calls; with calls >= 100, one
+// allocation in every 100 calls already shows.
+func allocsPerCall(runs, calls int, f func()) float64 {
+	return allocsPerRun(runs, func() {
+		for i := 0; i < calls; i++ {
+			f()
+		}
+	}) / float64(calls)
+}
+
 func TestAllocsFreshInsert(t *testing.T) {
 	m := MustNewMap[int](WithWidth(32), WithSeed(1))
-	const run = 100
 	var k uint64
-	// testing.AllocsPerRun truncates its average to a whole number, so
-	// each run stores 100 keys and the per-key figure keeps its fraction.
-	got := allocsPerRun(20, func() {
-		for i := 0; i < run; i++ {
-			m.Store(k, int(k))
-			k += 3
-		}
-	}) / run
+	got := allocsPerCall(20, 100, func() {
+		m.Store(k, int(k))
+		k += 3
+	})
 	// Seed measured 13.0 objects per fresh insert; the tower slab (one
 	// backing array per multi-level tower instead of h-1 node allocs)
 	// and the discard pool brought it to 12.0, links that no longer
@@ -46,11 +54,11 @@ func TestAllocsStoreExisting(t *testing.T) {
 		m.Store(i, int(i))
 	}
 	var k uint64
-	if got := allocsPerRun(2000, func() {
+	if got := allocsPerCall(20, 100, func() {
 		m.Store(k&1023, 7)
 		k++
 	}); got != 0 {
-		t.Fatalf("Store of existing key allocates %.1f objects/op, want 0", got)
+		t.Fatalf("Store of existing key allocates %.2f objects/op, want 0", got)
 	}
 }
 
@@ -60,11 +68,11 @@ func TestAllocsLoad(t *testing.T) {
 		m.Store(i, int(i))
 	}
 	var k uint64
-	if got := allocsPerRun(2000, func() {
+	if got := allocsPerCall(20, 100, func() {
 		m.Load(k & 1023)
 		k++
 	}); got != 0 {
-		t.Fatalf("Load allocates %.1f objects/op, want 0", got)
+		t.Fatalf("Load allocates %.2f objects/op, want 0", got)
 	}
 }
 
@@ -77,11 +85,11 @@ func TestAllocsMeteredLoad(t *testing.T) {
 	var k uint64
 	// The per-op stats.Op counter must stay stack-allocated even with a
 	// collector attached: record only reads it, so it must not escape.
-	if got := allocsPerRun(2000, func() {
+	if got := allocsPerCall(20, 100, func() {
 		m.Load(k & 1023)
 		k++
 	}); got != 0 {
-		t.Fatalf("metered Load allocates %.1f objects/op, want 0", got)
+		t.Fatalf("metered Load allocates %.2f objects/op, want 0", got)
 	}
 }
 
@@ -120,8 +128,8 @@ func TestAllocsStoreBatchExisting(t *testing.T) {
 	m.StoreBatch(keys, vals)
 	// Re-storing the same sorted run must not allocate at all: no new
 	// nodes, no sort copy, no per-key boxing.
-	if got := allocsPerRun(200, func() { m.StoreBatch(keys, vals) }); got != 0 {
-		t.Fatalf("StoreBatch over existing keys allocates %.1f objects/batch, want 0", got)
+	if got := allocsPerCall(4, 100, func() { m.StoreBatch(keys, vals) }); got != 0 {
+		t.Fatalf("StoreBatch over existing keys allocates %.2f objects/batch, want 0", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
@@ -241,16 +242,19 @@ func T5Contention(sc Scale) Result {
 }
 
 // T6Space: O(m) space — tower nodes ~2m, trie prefixes ~m, both flat in m.
+// The heap column is the live heap the prefill added, in bytes per key.
 func T6Space(sc Scale) Result {
 	res := Result{
 		Name:   "T6 space per key",
 		Claim:  "O(m) space: ~2 tower nodes/key and O(1) trie prefixes/key, for any universe",
-		Header: []string{"W", "m", "tower nodes/key", "trie prefixes/key", "top-level rate", "1/log u"},
+		Header: []string{"W", "m", "tower nodes/key", "heap B/key", "trie prefixes/key", "top-level rate", "1/log u"},
 	}
 	for _, w := range []uint8{16, 32, 64} {
 		for _, m := range []int{sc.M / 4, sc.M} {
 			st := core.NewSet(core.Config{Width: w, Seed: 17})
+			before := liveHeap()
 			Prefill(SkipTrieSet{T: st}, m, w)
+			heap := float64(int64(liveHeap()-before)) / float64(m)
 			sp := st.Space()
 			gaps := st.TopGaps()
 			tops := len(gaps) - 1
@@ -260,6 +264,7 @@ func T6Space(sc Scale) Result {
 			res.AddRow(
 				I(int(w)), I(m),
 				F2(float64(sp.TowerNodes)/float64(m)),
+				F(heap),
 				F2(float64(sp.TriePrefix)/float64(m)),
 				F2(float64(tops)/float64(m)),
 				F2(1/float64(w)),
@@ -267,6 +272,14 @@ func T6Space(sc Scale) Result {
 		}
 	}
 	return res
+}
+
+// liveHeap returns the live heap in bytes after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // F1TopGaps: Figure 1's structural claim — trie-indexed keys are spaced

@@ -131,9 +131,6 @@ func (l *Topology) commitEnter(key uint64) *atomic.Int64 {
 	}
 }
 
-// Epoch returns the list's current epoch.
-func (l *Topology) Epoch() uint64 { return l.epoch.Load() }
-
 // PinCount returns the number of live pins, for tests and diagnostics.
 func (l *Topology) PinCount() int { return int(l.pinCount.Load()) }
 

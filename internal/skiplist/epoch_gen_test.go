@@ -65,7 +65,7 @@ func TestPinSkipsPostBumpCommits(t *testing.T) {
 			t.Fatal("post-release insert did not land")
 		}
 		if n.VisibleAt(p) {
-			t.Fatalf("insert stamped born=%d is visible at pinned epoch %d", n.BornEpoch(), p)
+			t.Fatalf("insert stamped born=%d is visible at pinned epoch %d", rootOf(n).born, p)
 		}
 		l.ReleaseEpoch(p)
 	case <-time.After(10 * time.Second):

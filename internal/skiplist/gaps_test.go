@@ -177,7 +177,7 @@ func TestNodeAccessors(t *testing.T) {
 	if n.Level() != top-1 {
 		t.Fatalf("Level = %d", n.Level())
 	}
-	if n.Root() != r.Root {
+	if n.root != r.Root {
 		t.Fatal("Root mismatch")
 	}
 	if n.Back() == nil {

@@ -79,7 +79,7 @@ func TestJournalTruncation(t *testing.T) {
 func TestJournalValueStampAt(t *testing.T) {
 	l := newEpochList(t)
 	res := l.Insert(7, 100, nil, nil)
-	born := res.Root.BornEpoch()
+	born := rootOf(res.Root).born
 	a := l.PinEpoch()
 	l.Upsert(7, 200, nil, nil)
 	b := l.PinEpoch()

@@ -43,8 +43,8 @@ type List[V any] struct {
 // newDataNode returns a dataNode ready for stamping: either a recycled
 // never-published allocation (scrubbed by recycleDataNode) or a fresh
 // one. The caller must set every header field it relies on — key,
-// kind, origHeight, root, born, val, from — exactly as it would on a
-// fresh allocation; nothing is inherited from a previous use.
+// kind, root, born, val, from — exactly as it would on a fresh
+// allocation; nothing is inherited from a previous use.
 func (l *List[V]) newDataNode() *dataNode[V] {
 	if v := l.pool.Get(); v != nil {
 		return v.(*dataNode[V])
@@ -64,7 +64,7 @@ func (l *List[V]) recycleDataNode(dn *dataNode[V]) {
 	var zero V
 	dn.val = zero
 	dn.from = 0
-	dn.n.born = 0
+	dn.born = 0
 	dn.n.next.Store(nil)
 	dn.n.back.Store(nil)
 	l.pool.Put(dn)
@@ -82,10 +82,12 @@ func New[V any](cfg Config) *List[V] {
 func (l *List[V]) Topo() *Topology { return &l.Topology }
 
 // dataNode is the allocation unit of a level-0 data node: the value-free
-// topology header followed by the list's unboxed value slot. The header
-// must stay the first field — value access converts the *Node interior
-// pointer back to the containing *dataNode[V], which is only valid while
-// the two share an address.
+// rootNode header followed by the list's unboxed value slot. The header
+// must stay the first field — value access (dataOf) and the birth stamp
+// (rootOf) convert the *Node interior pointer back to the containing
+// allocation, which is only valid while they share an address. With the
+// 64-byte Node in the first cache line, dataNode[int] is 120 bytes and
+// takes the 128-byte size class.
 //
 // The value is published by the next-pointer CAS that links the node into
 // level 0 (a release store that every reader acquires through its own
@@ -104,7 +106,7 @@ func (l *List[V]) Topo() *Topology { return &l.Topology }
 // alternative, immutable cells behind an atomic pointer, reallocates on
 // every overwrite, which is the boxing cost this layout exists to remove.
 type dataNode[V any] struct {
-	n    Node
+	rootNode
 	vmu  atomic.Uint32 // value spinlock: 0 free, 1 held
 	from uint64        // epoch val became current (guarded by vmu; init pre-publish)
 	val  V
@@ -257,7 +259,7 @@ func (l *List[V]) ValueStampAt(n *Node, at uint64) (V, uint64) {
 	}
 	d := dataOf[V](r)
 	if unsafe.Sizeof(d.val) == 0 {
-		return d.val, r.born
+		return d.val, d.born
 	}
 	d.lock()
 	v, from := d.val, d.from
@@ -326,7 +328,6 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 	root := &dn.n
 	root.key = key
 	root.kind = kindData
-	root.origHeight = int8(h)
 	root.root = root
 	for {
 		// Stamp the born epoch (and the value's epoch) under the commit
@@ -336,15 +337,15 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 		// yet (epoch.go, "The commit counter"). Both stamps are
 		// released by the CAS and acquired by any reader's next load.
 		commit := l.commitEnter(key)
-		root.born = l.epoch.Load()
-		dn.from = root.born
+		dn.born = l.epoch.Load()
+		dn.from = dn.born
 		hook("insert.committing", root)
 		root.next.Store(br.Right)
 		root.back.Store(br.Left)
 		c.IncCAS()
 		ok := br.Left.next.CompareAndSwap(br.Right, root)
 		if ok {
-			l.journalMark(key, root.born)
+			l.journalMark(key, dn.born)
 		}
 		commit.Add(-1)
 		if ok {
@@ -376,14 +377,13 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 		slab = make([]Node, h-1)
 	}
 	for lv := 1; lv < h; lv++ {
-		if root.stop.Load() {
+		if root.has(flagStop) {
 			return InsertResult{Inserted: true, Root: root}
 		}
 		tn := &slab[lv-1]
 		tn.key = key
 		tn.kind = kindData
 		tn.level = int8(lv)
-		tn.origHeight = int8(h)
 		tn.root = root
 		tn.down = curr
 		var br Bracket
@@ -404,14 +404,14 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 			if br.Left.next.CompareAndSwap(br.Right, tn) {
 				break
 			}
-			if root.stop.Load() {
+			if root.has(flagStop) {
 				return InsertResult{Inserted: true, Root: root}
 			}
 			lefts[lv] = br.Left
 		}
 		l.nodes.Add(1)
 		curr = tn
-		if root.stop.Load() {
+		if root.has(flagStop) {
 			// The link may have landed after a delete's top-down
 			// teardown scanned this level, which would then never mark
 			// it: tear the level down here, the way Delete does. A

@@ -46,14 +46,24 @@
 // links, back/prev pointers) and implement every navigation and repair
 // algorithm, so code that only routes through the structure — notably the
 // x-fast trie and its DCSS guards — compiles once, independent of any
-// value type. List[V] embeds a Topology and adds the insert path, whose
-// level-0 nodes are allocated with an inline, unboxed value slot of type V
-// (see list.go). In set form (V = struct{}) the slot is zero-width.
+// value type. List[V] embeds a Topology and adds the insert path (list.go).
+//
+// # Layout
+//
+// A Node is one 64-byte cache line on 64-bit targets. Go places a size
+// class's objects at multiples of the class size in page-aligned spans,
+// so sentinels, markers and each tower's slab of h−1 Nodes start on a
+// line boundary, and a hop above level 0 reads one line. A tower's
+// level-0 node leads a dataNode[V]: a value-free rootNode header (the
+// Node, then the birth stamp only pinned views read) and an unboxed
+// value slot of type V, zero-width in set form (V = struct{}). An
+// insert allocates the two; a delete, one 64-byte marker per level.
 package skiplist
 
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"skiptrie/internal/dcss"
 	"skiptrie/internal/stats"
@@ -90,39 +100,49 @@ const (
 
 // Node is one level of one tower: the value-free topology header every
 // layer above (the x-fast trie, the DCSS guards) operates on. Fields key,
-// kind, level, origHeight, root and down are immutable after construction.
-//
-// Level-0 data nodes of a List[V] are allocated as dataNode[V] — this
-// header followed by an unboxed value slot (list.go); sentinels and tower
-// nodes above level 0 are plain Nodes and carry no value storage at all.
+// kind, level, root and down are immutable after construction. It holds
+// only what a hop, a teardown or the live read path reads: 64 bytes on
+// 64-bit targets (package doc, Layout). A data root's birth stamp is in
+// its rootNode header.
 type Node struct {
-	key        uint64
-	kind       kind
-	level      int8
-	origHeight int8  // tower height drawn at insert time (levels occupied)
-	root       *Node // level-0 node of this tower (self at level 0)
-	down       *Node // next lower tower node; nil at level 0
+	key   uint64
+	kind  kind
+	level int8
+	flags atomic.Uint32 // flagStop and flagReady, each set once by Or
+	root  *Node         // level-0 node of this tower (self at level 0)
+	down  *Node         // next lower tower node; nil at level 0
 
 	// next is the successor on this level, or a marker (whose next holds
 	// the frozen successor) once the node is deleted.
 	next atomic.Pointer[Node]
 	back atomic.Pointer[Node] // recovery hint; points to a strictly smaller node
+	prev dcss.Atom[*Node]     // top level only: backward guide pointer (Section 3)
 
-	// root-only:
-	stop atomic.Bool // freezes tower raising (Section 2)
-	// born is the list epoch current when the node was linked; written
-	// before the publishing CAS, so every reader that reached the node
-	// through a next load observes it. dead is the epoch a delete
-	// committed the node at (0 while alive): the delete's linearization
-	// point is the CAS that sets it. Both are meaningful on data roots
-	// only; see epoch.go for the pin protocol they serve.
-	born uint64
+	// dead is the epoch a delete committed the tower at (0 while alive;
+	// data roots only), set by the CAS that linearizes the delete (epoch.go).
 	dead atomic.Uint64
-
-	// top-level-only:
-	prev  dcss.Atom[*Node] // backward guide pointer (Section 3)
-	ready atomic.Bool      // doubly-linked insertion finished
 }
+
+// Node flags.
+const (
+	flagStop  uint32 = 1 << iota // root: freezes tower raising (Section 2)
+	flagReady                    // top level: doubly-linked insertion finished
+)
+
+// has reports whether flag f is set.
+func (n *Node) has(f uint32) bool { return n.flags.Load()&f != 0 }
+
+// rootNode is a data tower's level-0 node: the Node, then born, the epoch
+// current when it was linked. born is written before the publishing CAS,
+// so every reader that reached the node through a next load observes it.
+type rootNode struct {
+	n    Node
+	born uint64
+}
+
+// rootOf recovers the rootNode of a data-kind root by the first-field cast
+// dataOf makes; other nodes are plain Nodes and must never be passed.
+func rootOf(n *Node) *rootNode { return (*rootNode)(unsafe.Pointer(n)) }
 
 // Key returns the node's key. Meaningful only for data nodes.
 func (n *Node) Key() uint64 { return n.key }
@@ -138,9 +158,6 @@ func (n *Node) IsTail() bool { return n.kind == kindTail }
 
 // Level returns the level this node lives on (0 = bottom).
 func (n *Node) Level() int { return int(n.level) }
-
-// Root returns the tower's level-0 node.
-func (n *Node) Root() *Node { return n.root }
 
 // isMarker reports whether next, loaded from some node's next field,
 // marks that node deleted.
@@ -165,13 +182,6 @@ func (n *Node) succ() *Node {
 	return next
 }
 
-// BornEpoch returns the epoch the node's tower was linked at.
-func (n *Node) BornEpoch() uint64 { return n.root.born }
-
-// DeadEpoch returns the epoch a delete committed the node's tower at,
-// or 0 while it is alive.
-func (n *Node) DeadEpoch() uint64 { return n.root.dead.Load() }
-
 // IsDead reports whether a delete has committed the node's tower. A
 // dead node may remain physically linked (unmarked) while a pinned
 // epoch can still see it; every live-view read must treat it as absent.
@@ -185,7 +195,7 @@ func (n *Node) VisibleAt(p uint64) bool {
 		return false
 	}
 	r := n.root
-	if r.born > p {
+	if rootOf(r).born > p {
 		return false
 	}
 	d := r.dead.Load()
@@ -197,9 +207,6 @@ func (n *Node) Prev() *Node { return n.prev.Value() }
 
 // Back returns the node's recovery pointer.
 func (n *Node) Back() *Node { return n.back.Load() }
-
-// Ready reports whether the node's doubly-linked insertion completed.
-func (n *Node) Ready() bool { return n.ready.Load() }
 
 // target identifies a search position: either a key or the tail sentinel.
 type target struct {
@@ -320,8 +327,8 @@ func (l *Topology) init(cfg Config) {
 	l.epoch.Store(1)
 	l.minPin.Store(noPin)
 	for i := 0; i < lv; i++ {
-		h := &Node{kind: kindHead, level: int8(i), origHeight: int8(lv)}
-		t := &Node{kind: kindTail, level: int8(i), origHeight: int8(lv)}
+		h := &Node{kind: kindHead, level: int8(i)}
+		t := &Node{kind: kindTail, level: int8(i)}
 		h.root, t.root = h, t
 		if i > 0 {
 			h.down = l.heads[i-1]
@@ -330,8 +337,8 @@ func (l *Topology) init(cfg Config) {
 		h.next.Store(t)
 		h.back.Store(h)
 		t.back.Store(h)
-		h.ready.Store(true)
-		t.ready.Store(true)
+		h.flags.Store(flagReady)
+		t.flags.Store(flagReady)
 		t.prev.Store(h)
 		l.heads[i] = h
 		l.tails[i] = t
@@ -347,12 +354,6 @@ func (l *Topology) Top() int { return l.levels - 1 }
 // Head returns the top-level head sentinel (the fallback starting point
 // for searches when the x-fast trie yields no better anchor).
 func (l *Topology) Head() *Node { return l.heads[l.levels-1] }
-
-// HeadAt returns the head sentinel of the given level.
-func (l *Topology) HeadAt(level int) *Node { return l.heads[level] }
-
-// TailAt returns the tail sentinel of the given level.
-func (l *Topology) TailAt(level int) *Node { return l.tails[level] }
 
 // Len returns the number of keys (approximate under concurrency).
 func (l *Topology) Len() int { return int(l.length.Load()) }
@@ -496,7 +497,7 @@ func (l *Topology) FixPrev(pred, node *Node, c *stats.Op) {
 		}
 	}
 	if l.repair == RepairRelaxed {
-		node.ready.Store(true)
+		node.flags.Or(flagReady)
 	}
 }
 
@@ -546,7 +547,7 @@ func (l *Topology) makeReadyChain(node *Node, c *stats.Op) {
 		chain[n] = cur
 		n++
 		next := cur.succ()
-		if next == nil || next.ready.Load() {
+		if next == nil || next.has(flagReady) {
 			break
 		}
 		cur = next
@@ -560,7 +561,7 @@ func (l *Topology) makeReadyChain(node *Node, c *stats.Op) {
 				break
 			}
 		}
-		u.ready.Store(true)
+		u.flags.Or(flagReady)
 	}
 }
 
@@ -598,7 +599,7 @@ func (l *Topology) Delete(key uint64, start *Node, c *stats.Op) DeleteResult {
 	left0 := br.Left
 
 	// Freeze the tower so inserts stop raising it (Section 2).
-	root.stop.Store(true)
+	root.flags.Or(flagStop)
 	hook("delete.after-stop", root)
 
 	// Commit: stamp the dead epoch. This CAS is the linearization point
@@ -666,7 +667,7 @@ func (l *Topology) Delete(key uint64, start *Node, c *stats.Op) DeleteResult {
 func (l *Topology) removeLevel(n, left *Node, c *stats.Op) {
 	t := n.target()
 	top := int(n.level) == l.levels-1
-	if top && !n.ready.Load() {
+	if top && !n.has(flagReady) {
 		l.FixPrev(left, n, c)
 	}
 	if l.markNode(n, left, c) {

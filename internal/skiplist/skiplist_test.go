@@ -219,7 +219,7 @@ func TestTopLevelLinkage(t *testing.T) {
 		if !prevNode.IsHead() && cur.Key() <= prevNode.Key() {
 			t.Fatalf("top level out of order: %d after %d", cur.Key(), prevNode.Key())
 		}
-		if !cur.Ready() {
+		if !cur.has(flagReady) {
 			t.Fatalf("top node %d not ready", cur.Key())
 		}
 		if got := cur.Prev(); got != prevNode {
@@ -298,7 +298,7 @@ func TestStopFlagCapsRaising(t *testing.T) {
 		l.Delete(k, nil, nil)
 	}
 	for lv := 0; lv < l.Levels(); lv++ {
-		cur, _ := l.HeadAt(lv).Next()
+		cur, _ := l.heads[lv].Next()
 		for !cur.IsTail() {
 			next, marked := cur.Next()
 			if !marked {
@@ -702,7 +702,7 @@ func TestFixPrevOnTail(t *testing.T) {
 	for k := biggestTop.Key(); k < 100; k++ {
 		l.Delete(k, nil, nil)
 	}
-	tail := l.TailAt(l.Top())
+	tail := l.tails[l.Top()]
 	p := tail.Prev()
 	if p.Marked() {
 		t.Fatal("tail.prev points to a marked node after quiescent deletes")

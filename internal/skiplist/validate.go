@@ -102,7 +102,7 @@ func (l *Topology) Validate() error {
 			break
 		}
 		if n.kind == kindData && !marked {
-			if !n.ready.Load() {
+			if !n.has(flagReady) {
 				return fmt.Errorf("top node %d not ready at quiescence", n.key)
 			}
 			if got := n.prev.Value(); got != prev {

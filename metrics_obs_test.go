@@ -102,10 +102,10 @@ func TestMeteredSampledAllocs(t *testing.T) {
 	} {
 		m := MustNewMap[int](tc.opts...)
 		m.Store(42, 1)
-		if g := testing.AllocsPerRun(200, func() { m.Store(42, 2) }); g != 0 {
+		if g := allocsPerCall(2, 100, func() { m.Store(42, 2) }); g != 0 {
 			t.Errorf("%s Store-existing: %v allocs/op, want 0", tc.name, g)
 		}
-		if g := testing.AllocsPerRun(200, func() { m.Load(42) }); g != 0 {
+		if g := allocsPerCall(2, 100, func() { m.Load(42) }); g != 0 {
 			t.Errorf("%s Load: %v allocs/op, want 0", tc.name, g)
 		}
 	}

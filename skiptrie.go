@@ -8,10 +8,13 @@
 // The structure is a probabilistically balanced y-fast trie: all keys live
 // in a truncated lock-free skiplist of log log u levels; keys whose towers
 // reach the top level (probability 1/log u) are additionally indexed by a
-// lock-free x-fast trie — a hash table over key prefixes searched by
-// binary search on prefix length. Expected gaps of log u between indexed
-// keys replace the y-fast trie's explicit bucket rebalancing, which is
-// what makes a lock-free implementation tractable.
+// lock-free x-fast trie — a hash table over key prefixes. Where the paper
+// binary-searches the prefix lengths, a search here gallops from a start
+// depth kept per goroutine-hash stripe, which follows the depths recent
+// searches found, and probes at most 2⌈log2 W⌉ prefixes, still
+// O(log log u). Expected gaps of log u between indexed keys replace the
+// y-fast trie's explicit bucket rebalancing, which is what makes a
+// lock-free implementation tractable.
 //
 // # Quick start
 //
