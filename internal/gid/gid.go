@@ -1,5 +1,6 @@
 // Package gid provides a cheap goroutine-spread hash for indexing
-// striped per-goroutine state (RNG stripes, metrics counters).
+// striped per-goroutine state whose sums do not depend on the stripe
+// (metrics counters, latency-histogram stripes).
 //
 // Go offers no public goroutine or P identity, so Hash derives one from
 // the address of a stack-allocated local: goroutines that are alive at
@@ -9,11 +10,13 @@
 // depths, or whose stack was moved by a growth or a GC, observes a
 // different value. Consumers must therefore treat the hash purely as a
 // load-spreading device — any caller may land on any stripe at any
-// time — and keep every stripe individually valid. What the address
-// trick buys is that the common case (many goroutines hammering one
-// structure from stable call sites) spreads across stripes instead of
-// serializing on one shared cache line, at the cost of a few
-// arithmetic instructions and zero allocation.
+// time — and keep every stripe individually valid. Nothing that must
+// repeat from run to run, such as a structure's shape or step counts,
+// may depend on the stripe it picks. What the address trick buys is
+// that the common case (many goroutines hammering one structure from
+// stable call sites) spreads across stripes instead of serializing on
+// one shared cache line, at the cost of a few arithmetic instructions
+// and zero allocation.
 package gid
 
 import (

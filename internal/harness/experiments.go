@@ -242,31 +242,29 @@ func T5Contention(sc Scale) Result {
 }
 
 // T6Space: O(m) space — tower nodes ~2m, trie prefixes ~m, both flat in m.
-// The heap column is the live heap the prefill added, in bytes per key.
+// The heap column is the live heap the prefill added, in bytes per key,
+// and the four columns after it say where those bytes went (spaceSplit).
+// Every per-key figure divides by the keys the prefill inserted, which is
+// fewer than m where m exceeds workload.SpreadKeys' cap of 2^(W−1); the m
+// column prints that count.
 func T6Space(sc Scale) Result {
 	res := Result{
-		Name:   "T6 space per key",
-		Claim:  "O(m) space: ~2 tower nodes/key and O(1) trie prefixes/key, for any universe",
-		Header: []string{"W", "m", "tower nodes/key", "heap B/key", "trie prefixes/key", "top-level rate", "1/log u"},
+		Name:  "T6 space per key",
+		Claim: "O(m) space: ~2 tower nodes/key and O(1) trie prefixes/key, for any universe",
+		Header: []string{"W", "m", "tower nodes/key", "heap B/key", "data B/key", "tower B/key",
+			"prefix B/key", "bucket B/key", "trie prefixes/key", "top-level rate", "1/log u"},
 	}
 	for _, w := range []uint8{16, 32, 64} {
 		for _, m := range []int{sc.M / 4, sc.M} {
-			st := core.NewSet(core.Config{Width: w, Seed: 17})
-			before := liveHeap()
-			Prefill(SkipTrieSet{T: st}, m, w)
-			heap := float64(int64(liveHeap()-before)) / float64(m)
-			sp := st.Space()
-			gaps := st.TopGaps()
-			tops := len(gaps) - 1
-			if tops < 1 {
-				tops = 1
-			}
+			s := measureSpace(w, m)
+			keys := float64(max(s.sp.Keys, 1))
 			res.AddRow(
-				I(int(w)), I(m),
-				F2(float64(sp.TowerNodes)/float64(m)),
-				F(heap),
-				F2(float64(sp.TriePrefix)/float64(m)),
-				F2(float64(tops)/float64(m)),
+				I(int(w)), I(s.sp.Keys),
+				F2(float64(s.sp.TowerNodes)/keys),
+				F(s.heap/keys),
+				F(s.data/keys), F(s.tower/keys), F(s.prefix/keys), F(s.bucket/keys),
+				F2(float64(s.sp.TriePrefix)/keys),
+				F2(float64(s.tops)/keys),
 				F2(1/float64(w)),
 			)
 		}
@@ -274,8 +272,52 @@ func T6Space(sc Scale) Result {
 	return res
 }
 
-// liveHeap returns the live heap in bytes after a full collection.
+// Bytes a set-form SkipTrie allocates per counted object on 64-bit
+// targets, rounded up to Go's size classes: a data node is a bare
+// skiplist root (a 64-byte Node and a birth stamp, 72 B) in the 80-byte
+// class; each tower node above level 0 is 64 B of its tower's slab (a
+// slab of h−1 nodes, 64·(h−1) B, is itself a size class); a trie prefix
+// is a 32-byte hash-table node plus the 24-byte cell holding its pointer
+// pair; a hash bucket is an 8-byte directory slot plus a 32-byte sentinel
+// node.
+const (
+	rootBytes   = 80
+	towerBytes  = 64
+	prefixBytes = 32 + 24
+	bucketBytes = 8 + 32
+)
+
+// spaceSplit is one T6 cell: the live heap a prefill added to a set-form
+// SkipTrie, and that heap attributed to data nodes, tower slabs, trie
+// prefixes and hash buckets from the structure's counts.
+type spaceSplit struct {
+	sp                                core.SpaceStats
+	tops                              int
+	heap, data, tower, prefix, bucket float64 // bytes
+}
+
+// measureSpace prefills a fresh set-form SkipTrie of width w with up to m
+// keys and measures where its heap went.
+func measureSpace(w uint8, m int) spaceSplit {
+	st := core.NewSet(core.Config{Width: w, Seed: 17})
+	before := liveHeap()
+	Prefill(SkipTrieSet{T: st}, m, w)
+	s := spaceSplit{heap: float64(int64(liveHeap() - before)), sp: st.Space()}
+	s.tops = max(len(st.TopGaps())-1, 1)
+	s.data = float64(s.sp.Keys * rootBytes)
+	s.tower = float64((s.sp.TowerNodes - s.sp.Keys) * towerBytes)
+	s.prefix = float64(s.sp.TriePrefix * prefixBytes)
+	s.bucket = float64(s.sp.HashBuckets * bucketBytes)
+	return s
+}
+
+// liveHeap returns the live heap in bytes after two full collections. A
+// skiplist's sync.Pool keeps its whole list reachable from the runtime's
+// pool registry until the second collection after the list was dropped,
+// so one collection would count a structure an earlier caller left behind
+// and let the next collection free it mid-measurement.
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -214,5 +216,37 @@ func TestRunConcurrentLatencySamplingExact(t *testing.T) {
 	merged.Merge(r2.Lat)
 	if merged.Count != r.Lat.Count+r2.Lat.Count {
 		t.Fatalf("merge not additive: %d != %d + %d", merged.Count, r.Lat.Count, r2.Lat.Count)
+	}
+}
+
+// TestT6AttributesHeap checks T6's split of the heap: at W=32 the data
+// node, tower slab, trie prefix and hash bucket bytes, each computed from
+// the structure's counts, sum to within 5% of the live heap the prefill
+// added. A layout change that moves a node to another size class without
+// updating the split fails here.
+func TestT6AttributesHeap(t *testing.T) {
+	s := measureSpace(32, 1<<14)
+	sum := s.data + s.tower + s.prefix + s.bucket
+	if math.Abs(sum-s.heap) > 0.05*s.heap {
+		t.Fatalf("attributed %.0f B (data %.0f, tower %.0f, prefix %.0f, bucket %.0f), measured heap %.0f B: off by more than 5%%",
+			sum, s.data, s.tower, s.prefix, s.bucket, s.heap)
+	}
+}
+
+// TestT6DividesByInsertedKeys pins T6's per-key denominator: where m
+// exceeds the 2^(W−1) keys workload.SpreadKeys can place, the row counts
+// the keys actually inserted, so a tower still averages about 2 nodes.
+func TestT6DividesByInsertedKeys(t *testing.T) {
+	res := T6Space(Scale{M: 1 << 16})
+	for _, row := range res.Rows {
+		if row[0] != "16" {
+			continue
+		}
+		if row[1] != "16384" && row[1] != "32768" {
+			t.Errorf("W=16 row counts m=%s keys, want the keys inserted (at most 32768)", row[1])
+		}
+		if nodes, _ := strconv.ParseFloat(row[2], 64); nodes < 1.8 || nodes > 2.2 {
+			t.Errorf("W=16 m=%s: %.2f tower nodes/key, want about 2", row[1], nodes)
+		}
 	}
 }

@@ -14,7 +14,7 @@ func (l *List[V]) UpsertWithHeight(key uint64, val V, start *Node, h int, c *sta
 }
 
 // RandomHeight exposes the striped height draw for the RNG tests.
-func (l *Topology) RandomHeight() int { return l.randomHeight() }
+func (l *Topology) RandomHeight(key uint64) int { return l.randomHeight(key) }
 
 // UpsertHintedWithHeight is UpsertHinted with the tower height fixed by
 // the caller.

@@ -44,5 +44,5 @@ func (h *Hint) Reset() { *h = Hint{} }
 // apply — typically the x-fast trie's predecessor for the first key of
 // a run, nil for the head.
 func (l *List[V]) UpsertHinted(key uint64, val V, start *Node, hint *Hint, c *stats.Op) InsertResult {
-	return l.insertWithHeight(key, val, start, l.randomHeight(), true, hint, c)
+	return l.insertWithHeight(key, val, start, l.randomHeight(key), true, hint, c)
 }

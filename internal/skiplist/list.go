@@ -17,7 +17,7 @@ import (
 type List[V any] struct {
 	Topology
 
-	// pool recycles dataNode allocations that were prepared by an
+	// pool recycles root allocations that were prepared by an
 	// insert but never published: the insert lost its race to a
 	// concurrent insert of the same key and returned Existing instead.
 	// Under write contention on overlapping key sets this is the
@@ -40,34 +40,44 @@ type List[V any] struct {
 	pool sync.Pool
 }
 
-// newDataNode returns a dataNode ready for stamping: either a recycled
-// never-published allocation (scrubbed by recycleDataNode) or a fresh
-// one. The caller must set every header field it relies on — key,
-// kind, root, born, val, from — exactly as it would on a fresh
+// newRoot returns a level-0 root holding val, ready for stamping: either
+// a recycled never-published allocation (scrubbed by recycleRoot) or a
+// fresh one — a dataNode[V], or a bare rootNode in set form, which is
+// never converted to a dataNode. The caller must set every header field
+// it relies on — key, kind, root, born — exactly as it would on a fresh
 // allocation; nothing is inherited from a previous use.
-func (l *List[V]) newDataNode() *dataNode[V] {
-	if v := l.pool.Get(); v != nil {
-		return v.(*dataNode[V])
+func (l *List[V]) newRoot(val V) *rootNode {
+	r, _ := l.pool.Get().(*rootNode)
+	if unsafe.Sizeof(val) == 0 {
+		if r == nil {
+			r = new(rootNode)
+		}
+		return r
 	}
-	return new(dataNode[V])
+	if r == nil {
+		r = &new(dataNode[V]).rootNode
+	}
+	dataOf[V](&r.n).val = val
+	return r
 }
 
-// recycleDataNode returns a node allocated by newDataNode to the pool.
-// It must only be called on nodes that were never published: once the
-// linking CAS has landed, concurrent operations hold references to the
-// node forever (see the pool field comment). The scrub clears every
+// recycleRoot returns a root allocated by newRoot to the pool. It must
+// only be called on roots that were never published: once the linking
+// CAS has landed, concurrent operations hold references to the node
+// forever (see the pool field comment). The scrub clears every
 // reference the insert attempt wrote (the next and back pointers, the
-// value), so a pooled node retains nothing; the epoch
-// stamps and immutable-by-convention header fields are re-stamped in
-// full by the next insert that draws it.
-func (l *List[V]) recycleDataNode(dn *dataNode[V]) {
+// value), so a pooled node retains nothing; the birth stamp and
+// immutable-by-convention header fields are re-stamped in full by the
+// next insert that draws it.
+func (l *List[V]) recycleRoot(r *rootNode) {
 	var zero V
-	dn.val = zero
-	dn.from = 0
-	dn.born = 0
-	dn.n.next.Store(nil)
-	dn.n.back.Store(nil)
-	l.pool.Put(dn)
+	if unsafe.Sizeof(zero) != 0 {
+		dataOf[V](&r.n).val = zero
+	}
+	r.born = 0
+	r.n.next.Store(nil)
+	r.n.back.Store(nil)
+	l.pool.Put(r)
 }
 
 // New returns an empty list. Levels outside [2, MaxLevels] are clamped.
@@ -82,12 +92,15 @@ func New[V any](cfg Config) *List[V] {
 func (l *List[V]) Topo() *Topology { return &l.Topology }
 
 // dataNode is the allocation unit of a level-0 data node: the value-free
-// rootNode header followed by the list's unboxed value slot. The header
-// must stay the first field — value access (dataOf) and the birth stamp
-// (rootOf) convert the *Node interior pointer back to the containing
-// allocation, which is only valid while they share an address. With the
-// 64-byte Node in the first cache line, dataNode[int] is 120 bytes and
-// takes the 128-byte size class.
+// rootNode header followed by the list's unboxed value slot and a pointer
+// to the value's history. The header must stay the first field — value
+// access (dataOf) and the birth stamp (rootOf) convert the *Node interior
+// pointer back to the containing allocation, which is only valid while
+// they share an address. dataNode[int] is 96 bytes, in the 96-byte size
+// class, and dataNode[[]byte] 112. The set form allocates a bare rootNode
+// instead and never converts it to a dataNode: the conversion would claim
+// more bytes than the allocation has (checkptr, on under -race, rejects
+// it), so every zero-width check comes before dataOf.
 //
 // The value is published by the next-pointer CAS that links the node into
 // level 0 (a release store that every reader acquires through its own
@@ -108,17 +121,28 @@ func (l *List[V]) Topo() *Topology { return &l.Topology }
 type dataNode[V any] struct {
 	rootNode
 	vmu  atomic.Uint32 // value spinlock: 0 free, 1 held
-	from uint64        // epoch val became current (guarded by vmu; init pre-publish)
 	val  V
-	// old holds superseded versions still selectable by a pinned epoch,
-	// ascending by from (guarded by vmu). It is nil — and never touched —
-	// unless a value was overwritten while a snapshot pin was live, so
-	// the unpinned write path pays nothing beyond one atomic load.
-	old []version[V]
+	hist *history[V] // guarded by vmu; nil: val's stamp is born
+}
+
+// history is what a pinned read of an overwritten value needs: the epoch
+// val became current and the superseded versions still selectable by a
+// pinned epoch, ascending by from. Only an overwrite under a live pin
+// allocates it, with that overwrite's superseded version held inline in
+// first, so the record is one object; an overwrite that no live or future
+// pin can see behind drops it again. While it is nil, val's stamp is the
+// node's born epoch: an overwrite made with no pin live orders before
+// every live and future pin, so no pinned view or diff window can tell
+// the two stamps apart, and the unpinned write path pays nothing beyond
+// one atomic load.
+type history[V any] struct {
+	from  uint64
+	old   []version[V]
+	first [1]version[V]
 }
 
 // version is one superseded value: val was current from epoch from
-// until the from of the next version (or dataNode.from for the last).
+// until the from of the next version (or history.from for the last).
 type version[V any] struct {
 	from uint64
 	val  V
@@ -146,128 +170,112 @@ func (d *dataNode[V]) unlock() { d.vmu.Store(0) }
 // a tower created by this list (any level); sentinel nodes yield the zero
 // value.
 func (l *List[V]) ValueOf(n *Node) V {
+	var v V
 	r := n.root
-	if r == nil || r.kind != kindData {
-		var zero V
-		return zero
+	if r == nil || r.kind != kindData || unsafe.Sizeof(v) == 0 {
+		return v // the set form has nothing to read, nothing to lock
 	}
 	d := dataOf[V](r)
-	if unsafe.Sizeof(d.val) == 0 {
-		return d.val // set form: nothing to read, nothing to lock
-	}
 	d.lock()
-	v := d.val
+	v = d.val
 	d.unlock()
 	return v
 }
 
 // SetValue overwrites the value stored at n's tower root. Sentinel nodes
 // are ignored. While a snapshot pin is live the superseded value is
-// pushed onto the node's version chain, stamped with the epoch it was
-// current from, so pinned readers keep reading the value that was
-// current at their epoch; versions no remaining pin can select are
-// pruned on the next overwrite.
+// pushed onto the node's history, stamped with the epoch it was current
+// from, so pinned readers keep reading the value that was current at
+// their epoch; versions no remaining pin can select are pruned on the
+// next overwrite.
 func (l *List[V]) SetValue(n *Node, v V) {
 	r := n.root
-	if r == nil || r.kind != kindData {
+	if r == nil || r.kind != kindData || unsafe.Sizeof(v) == 0 {
 		return
 	}
 	d := dataOf[V](r)
-	if unsafe.Sizeof(d.val) == 0 {
-		return
-	}
 	// The epoch is sampled under both the value lock — so a delayed
-	// writer cannot regress d.from below a newer writer's stamp and
-	// silently drop that version from the chain — and the commit
+	// writer cannot regress the stamp below a newer writer's and
+	// silently drop that version from the history — and the commit
 	// counter, so a concurrently-registered pin is not handed out
 	// until this stamp's write has landed (epoch.go).
 	commit := l.commitEnter(r.key)
 	d.lock()
 	e := l.epoch.Load()
-	if l.pinCount.Load() > 0 && d.from < e {
-		d.old = append(d.old, version[V]{from: d.from, val: d.val})
-	}
-	d.val, d.from = v, e
-	l.journalMark(r.key, e)
-	if len(d.old) > 0 {
-		// Prune unreachable versions: a pin P selects the last version
-		// with from <= P, so everything before the last version at or
-		// below the smallest pinned epoch is dead. The kept suffix is
-		// slid to the front and the vacated slots zeroed, so pruned
-		// values are actually released rather than kept alive by the
-		// backing array.
-		if min := l.minPin.Load(); min == noPin || d.from <= min {
-			d.old = nil
-		} else {
-			j := 0
-			for j+1 < len(d.old) && d.old[j+1].from <= min {
-				j++
-			}
-			if j > 0 {
-				kept := copy(d.old, d.old[j:])
-				for i := kept; i < len(d.old); i++ {
-					d.old[i] = version[V]{}
-				}
-				d.old = d.old[:kept]
-			}
+	// A pin P selects the last version stamped at or before P. Every pin
+	// below e registered before the clock passed it, so it is visible in
+	// minPin (noPin while none is live): e <= min means no live or future
+	// pin selects a superseded version.
+	if min := l.minPin.Load(); e <= min {
+		d.hist = nil
+	} else if h := d.hist; h == nil {
+		if born := rootOf(r).born; born < e {
+			h = &history[V]{from: e, first: [1]version[V]{{born, d.val}}}
+			h.old = h.first[:]
+			d.hist = h
+		}
+	} else {
+		if h.from < e {
+			// The append outgrows first, whose copy is cleared so
+			// that it does not keep a pruned value alive.
+			h.old = append(h.old, version[V]{h.from, d.val})
+			h.first[0], h.from = version[V]{}, e
+		}
+		// Prune unreachable versions: everything before the last
+		// version at or below the smallest pinned epoch is dead. The
+		// kept suffix is slid to the front and the vacated slots
+		// zeroed, so pruned values are actually released rather than
+		// kept alive by the backing array.
+		j := 0
+		for j+1 < len(h.old) && h.old[j+1].from <= min {
+			j++
+		}
+		if j > 0 {
+			kept := copy(h.old, h.old[j:])
+			clear(h.old[kept:])
+			h.old = h.old[:kept]
 		}
 	}
+	d.val = v
+	l.journalMark(r.key, e)
 	d.unlock()
 	commit.Add(-1)
 }
 
 // ValueAt returns the value that was current at epoch at for n's tower
 // root: the current value if it was written at or before at, else the
-// newest chained version written at or before at. Sentinel nodes yield
-// the zero value. The caller is responsible for having checked
+// newest superseded version written at or before at. Sentinel nodes
+// yield the zero value. The caller is responsible for having checked
 // VisibleAt(at) first.
 func (l *List[V]) ValueAt(n *Node, at uint64) V {
-	r := n.root
-	if r == nil || r.kind != kindData {
-		var zero V
-		return zero
-	}
-	d := dataOf[V](r)
-	if unsafe.Sizeof(d.val) == 0 {
-		return d.val
-	}
-	d.lock()
-	v := d.val
-	if d.from > at {
-		for i := len(d.old) - 1; i >= 0; i-- {
-			if d.old[i].from <= at {
-				v = d.old[i].val
-				break
-			}
-		}
-	}
-	d.unlock()
+	v, _ := l.ValueStampAt(n, at)
 	return v
 }
 
 // ValueStampAt is ValueAt plus the epoch the returned value became
 // current — the stamp a diff compares against its window's low edge to
 // decide whether a surviving node's value was overwritten inside the
-// window. For the set form (zero-width V, never overwritten) the stamp
-// is the node's born epoch. The caller is responsible for having
-// checked VisibleAt(at) first.
+// window. Without a history record (always so in set form) the stamp is
+// the node's born epoch. The caller is responsible for having checked
+// VisibleAt(at) first.
 func (l *List[V]) ValueStampAt(n *Node, at uint64) (V, uint64) {
+	var v V
 	r := n.root
 	if r == nil || r.kind != kindData {
-		var zero V
-		return zero, 0
+		return v, 0
+	}
+	from := rootOf(r).born
+	if unsafe.Sizeof(v) == 0 {
+		return v, from
 	}
 	d := dataOf[V](r)
-	if unsafe.Sizeof(d.val) == 0 {
-		return d.val, d.born
-	}
 	d.lock()
-	v, from := d.val, d.from
-	if d.from > at {
-		for i := len(d.old) - 1; i >= 0; i-- {
-			if d.old[i].from <= at {
-				v, from = d.old[i].val, d.old[i].from
-				break
+	v = d.val
+	if h := d.hist; h != nil {
+		from = h.from
+		for i := len(h.old) - 1; from > at && i >= 0; i-- {
+			if h.old[i].from <= at {
+				v, from = h.old[i].val, h.old[i].from
 			}
 		}
 	}
@@ -292,13 +300,13 @@ type InsertResult struct {
 // returns, per the paper's toplevelInsert. If the key is already present
 // nothing is allocated and the existing level-0 node is reported.
 func (l *List[V]) Insert(key uint64, val V, start *Node, c *stats.Op) InsertResult {
-	return l.insertWithHeight(key, val, start, l.randomHeight(), false, nil, c)
+	return l.insertWithHeight(key, val, start, l.randomHeight(key), false, nil, c)
 }
 
 // Upsert is Insert, except that when the key is already present the
 // existing node's value is overwritten with val (still allocation-free).
 func (l *List[V]) Upsert(key uint64, val V, start *Node, c *stats.Op) InsertResult {
-	return l.insertWithHeight(key, val, start, l.randomHeight(), true, nil, c)
+	return l.insertWithHeight(key, val, start, l.randomHeight(key), true, nil, c)
 }
 
 // insertWithHeight is Insert/Upsert with the tower height fixed by the
@@ -323,29 +331,27 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 		}
 		return InsertResult{Existing: br.Right}
 	}
-	dn := l.newDataNode()
-	dn.val = val
-	root := &dn.n
+	rn := l.newRoot(val)
+	root := &rn.n
 	root.key = key
 	root.kind = kindData
 	root.root = root
 	for {
-		// Stamp the born epoch (and the value's epoch) under the commit
-		// counter: the sample and the publishing CAS must complete
-		// before any concurrently-registered pin is handed out, or the
-		// pinned view could include a key that observably did not exist
-		// yet (epoch.go, "The commit counter"). Both stamps are
-		// released by the CAS and acquired by any reader's next load.
+		// Stamp the born epoch, which is also the value's, under the
+		// commit counter: the sample and the publishing CAS must
+		// complete before any concurrently-registered pin is handed
+		// out, or the pinned view could include a key that observably
+		// did not exist yet (epoch.go, "The commit counter"). The stamp
+		// is released by the CAS and acquired by any reader's next load.
 		commit := l.commitEnter(key)
-		dn.born = l.epoch.Load()
-		dn.from = dn.born
+		rn.born = l.epoch.Load()
 		hook("insert.committing", root)
 		root.next.Store(br.Right)
 		root.back.Store(br.Left)
 		c.IncCAS()
 		ok := br.Left.next.CompareAndSwap(br.Right, root)
 		if ok {
-			l.journalMark(key, dn.born)
+			l.journalMark(key, rn.born)
 		}
 		commit.Add(-1)
 		if ok {
@@ -357,7 +363,7 @@ func (l *List[V]) insertWithHeight(key uint64, val V, start *Node, h int, upsert
 				l.SetValue(br.Right, val)
 			}
 			// The prepared node was never published: recycle it.
-			l.recycleDataNode(dn)
+			l.recycleRoot(rn)
 			return InsertResult{Existing: br.Right}
 		}
 	}

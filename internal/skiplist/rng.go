@@ -1,28 +1,29 @@
 package skiplist
 
-// Tower-height randomness. The seed repo kept one global atomic RNG
-// word per list, so every concurrent insert — however well the rest of
-// the write path scaled — serialized on one shared cache line for its
-// level draw. Heights need no global sequence: any stream of fair
-// Geom(1/2) draws preserves the paper's expectations, so the state is
-// striped across padded cache lines indexed by a cheap goroutine hash
-// (internal/gid) and each stripe advances an independent xorshift64.
+// Tower-height randomness. One global atomic RNG word per list would
+// serialize every concurrent insert — however well the rest of the
+// write path scaled — on one shared cache line for its level draw.
+// Heights need no global sequence: any stream of fair Geom(1/2) draws
+// preserves the paper's expectations, so the state is striped across
+// padded cache lines indexed by a hash of the inserted key, and each
+// stripe advances an independent xorshift64. Writers on different keys
+// spread across stripes as goroutines would, and the stripe an insert
+// draws from depends on nothing but its key.
 //
 // Stripes are seeded lazily, on first use, from the list's base seed
-// and a shared splitmix-style counter. Ordering the seeds by the
-// counter rather than by stripe index is what keeps Config.Seed
-// deterministic for single-goroutine use: one goroutine calling from a
-// stable stack position lands on one stripe, which becomes "the first
-// stripe seeded" regardless of which index its stack address hashed
-// to, so the drawn sequence depends only on the seed. Concurrent
-// writers interleave stripe seeding and stepping nondeterministically;
-// Config.Seed makes no reproducibility promise there (see Config.Seed).
+// and a shared splitmix-style counter, so the n'th stripe seeded gets
+// the n'th stream whatever its index. For single-goroutine use the
+// drawn heights therefore depend only on the seed and the sequence of
+// inserted keys. Concurrent writers interleave stripe seeding and
+// stepping nondeterministically; Config.Seed makes no reproducibility
+// promise there (see Config.Seed). The key only picks the stripe: the
+// height itself comes from the stripe's state, never from the key, so
+// a client that chooses its keys cannot choose their heights.
 
 import (
 	"math/bits"
 	"sync/atomic"
 
-	"skiptrie/internal/gid"
 	"skiptrie/internal/uintbits"
 )
 
@@ -39,17 +40,18 @@ type rngStripe struct {
 	_     [56]byte // keep stripes on separate cache lines
 }
 
-// randomHeight draws Geom(1/2) truncated to [1, levels]: P(h) = 2^-h,
-// with the remainder mass on h = levels, so P(reaching the top level) is
-// 2^-(levels-1) = 1/log u for levels = ceil(log2 log u)+1.
+// randomHeight draws the height of key's tower, Geom(1/2) truncated to
+// [1, levels]: P(h) = 2^-h, with the remainder mass on h = levels, so
+// P(reaching the top level) is 2^-(levels-1) = 1/log u for levels =
+// ceil(log2 log u)+1. The key picks the stripe, not the draw.
 //
 // The stripe is advanced with a plain atomic load/store pair, not a
 // CAS: two goroutines that collide on one stripe can overwrite each
 // other's step and draw identical values. For tower heights a rare
 // duplicated draw is statistically harmless (the draws stay fair and
 // independent across keys), and the store never retries or waits.
-func (l *Topology) randomHeight() int {
-	s := &l.rng[gid.Hash()&(rngStripes-1)].state
+func (l *Topology) randomHeight(key uint64) int {
+	s := &l.rng[uintbits.Mix64(key)&(rngStripes-1)].state
 	x := s.Load()
 	if x == 0 {
 		x = l.seedStripe()

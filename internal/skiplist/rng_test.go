@@ -13,19 +13,33 @@ func newList(seed uint64) *skiplist.List[int] {
 }
 
 // TestRandomHeightSeedDeterminism pins the single-goroutine contract of
-// Config.Seed after the RNG striping: two lists with the same seed,
-// driven by one goroutine from one call site, draw identical height
-// sequences — independent of which RNG stripe that goroutine's stack
-// address happens to hash to (stripe seeding is ordered by a per-list
-// counter, not the stripe index).
+// Config.Seed after the RNG striping: two lists with the same seed, fed
+// the same key sequence, draw identical heights — even when one of them
+// draws every other height from deeper in the stack, since the key, not
+// the caller's stack address, picks the stripe.
 func TestRandomHeightSeedDeterminism(t *testing.T) {
 	a, b := newList(42), newList(42)
 	for i := 0; i < 4096; i++ {
-		ha, hb := a.RandomHeight(), b.RandomHeight()
+		key := uint64(i) * 0x9E3779B97F4A7C15
+		ha, hb := a.RandomHeight(key), 0
+		if i%2 == 0 {
+			hb = b.RandomHeight(key)
+		} else {
+			atDepth(64, func() { hb = b.RandomHeight(key) })
+		}
 		if ha != hb {
-			t.Fatalf("draw %d: same seed diverged: %d vs %d", i, ha, hb)
+			t.Fatalf("draw %d: same seed and key diverged: %d vs %d", i, ha, hb)
 		}
 	}
+}
+
+// atDepth calls f d stack frames below its caller.
+func atDepth(d int, f func()) {
+	if d == 0 {
+		f()
+		return
+	}
+	atDepth(d-1, f)
 }
 
 // TestRandomHeightSeedVariation checks distinct seeds give distinct
@@ -34,7 +48,7 @@ func TestRandomHeightSeedVariation(t *testing.T) {
 	a, b := newList(1), newList(2)
 	same := true
 	for i := 0; i < 256 && same; i++ {
-		same = a.RandomHeight() == b.RandomHeight()
+		same = a.RandomHeight(uint64(i)) == b.RandomHeight(uint64(i))
 	}
 	if same {
 		t.Fatal("seeds 1 and 2 drew identical 256-draw sequences")
@@ -49,7 +63,7 @@ func TestRandomHeightDistribution(t *testing.T) {
 	levels := l.Levels()
 	counts := make([]int, levels+1)
 	for i := 0; i < n; i++ {
-		h := l.RandomHeight()
+		h := l.RandomHeight(uint64(i))
 		if h < 1 || h > levels {
 			t.Fatalf("height %d outside [1, %d]", h, levels)
 		}
@@ -82,7 +96,7 @@ func TestRandomHeightConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10000; i++ {
-				if h := l.RandomHeight(); h < 1 || h > l.Levels() {
+				if h := l.RandomHeight(uint64(g*10000 + i)); h < 1 || h > l.Levels() {
 					select {
 					case errs <- h:
 					default:

@@ -50,14 +50,20 @@
 //
 // # Layout
 //
-// A Node is one 64-byte cache line on 64-bit targets. Go places a size
-// class's objects at multiples of the class size in page-aligned spans,
-// so sentinels, markers and each tower's slab of h−1 Nodes start on a
-// line boundary, and a hop above level 0 reads one line. A tower's
-// level-0 node leads a dataNode[V]: a value-free rootNode header (the
-// Node, then the birth stamp only pinned views read) and an unboxed
-// value slot of type V, zero-width in set form (V = struct{}). An
-// insert allocates the two; a delete, one 64-byte marker per level.
+// A Node is one 64-byte cache line on 64-bit targets, and its first 32
+// bytes hold what a hop and a liveness check read: key, next, kind,
+// level, flags and dead. Go places a size class's objects at multiples
+// of the class size in page-aligned spans, so sentinels, markers and
+// each tower's slab of h−1 Nodes start on a line boundary. A tower's
+// level-0 node leads its root allocation: a value-free rootNode header
+// (the Node, then the birth stamp only pinned views read) and, unless V
+// is zero-width as in set form, an unboxed value slot of type V and a
+// pointer to the value's history, which only an overwrite under a live
+// pin allocates (dataNode). dataNode[int] is 96 bytes and starts at 0 or
+// 32 mod 64, so every hop reads one line; the set form's bare rootNode
+// (80-byte class) and dataNode[[]byte] (112) put the hop fields across
+// two lines in one slot of four. An insert allocates the root and the
+// slab; a delete, one 64-byte marker per level.
 package skiplist
 
 import (
@@ -102,25 +108,25 @@ const (
 // layer above (the x-fast trie, the DCSS guards) operates on. Fields key,
 // kind, level, root and down are immutable after construction. It holds
 // only what a hop, a teardown or the live read path reads: 64 bytes on
-// 64-bit targets (package doc, Layout). A data root's birth stamp is in
-// its rootNode header.
+// 64-bit targets, the first 32 of them the fields a hop and a liveness
+// check read (package doc, Layout). A data root's birth stamp is in its
+// rootNode header.
 type Node struct {
-	key   uint64
+	key uint64
+	// next is the successor on this level, or a marker (whose next holds
+	// the frozen successor) once the node is deleted.
+	next  atomic.Pointer[Node]
 	kind  kind
 	level int8
 	flags atomic.Uint32 // flagStop and flagReady, each set once by Or
-	root  *Node         // level-0 node of this tower (self at level 0)
-	down  *Node         // next lower tower node; nil at level 0
-
-	// next is the successor on this level, or a marker (whose next holds
-	// the frozen successor) once the node is deleted.
-	next atomic.Pointer[Node]
-	back atomic.Pointer[Node] // recovery hint; points to a strictly smaller node
-	prev dcss.Atom[*Node]     // top level only: backward guide pointer (Section 3)
-
 	// dead is the epoch a delete committed the tower at (0 while alive;
 	// data roots only), set by the CAS that linearizes the delete (epoch.go).
 	dead atomic.Uint64
+
+	root *Node                // level-0 node of this tower (self at level 0)
+	down *Node                // next lower tower node; nil at level 0
+	back atomic.Pointer[Node] // recovery hint; points to a strictly smaller node
+	prev dcss.Atom[*Node]     // top level only: backward guide pointer (Section 3)
 }
 
 // Node flags.
@@ -135,6 +141,8 @@ func (n *Node) has(f uint32) bool { return n.flags.Load()&f != 0 }
 // rootNode is a data tower's level-0 node: the Node, then born, the epoch
 // current when it was linked. born is written before the publishing CAS,
 // so every reader that reached the node through a next load observes it.
+// The set form allocates it bare, 72 bytes in the 80-byte size class;
+// other lists lead a dataNode with it.
 type rootNode struct {
 	n    Node
 	born uint64
@@ -294,10 +302,11 @@ type Config struct {
 	// Repair selects the prev-pointer maintenance discipline.
 	Repair RepairMode
 	// Seed seeds tower-height randomness; 0 selects a fixed default.
-	// Height draws come from striped per-goroutine generator states
-	// (rng.go), so the seed fixes the drawn sequence — and therefore
-	// the structure's shape — only for single-goroutine use; concurrent
-	// writers interleave stripe state nondeterministically.
+	// Height draws come from generator states striped by key hash
+	// (rng.go), so for single-goroutine use the seed and the sequence of
+	// inserted keys fix the drawn heights — and therefore the
+	// structure's shape; concurrent writers interleave stripe state
+	// nondeterministically.
 	Seed uint64
 	// Trace, when non-nil, receives lifecycle events (pin
 	// acquire/release, retained-node sweeps, journal truncation); see

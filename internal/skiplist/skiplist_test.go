@@ -444,7 +444,7 @@ func TestRandomHeightDistribution(t *testing.T) {
 	counts := make([]int, 7)
 	const n = 1 << 16
 	for i := 0; i < n; i++ {
-		h := l.randomHeight()
+		h := l.randomHeight(uint64(i))
 		if h < 1 || h > 6 {
 			t.Fatalf("height %d out of range", h)
 		}

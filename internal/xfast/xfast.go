@@ -19,8 +19,8 @@
 //
 // Queries follow the paper's Algorithm 3 except in the order of the
 // probes. Where the paper binary-searches every prefix length,
-// LowestAncestor gallops from a start depth, one per goroutine-hash
-// stripe, that follows the depths recent searches found; it probes the
+// LowestAncestor gallops from a start depth, one per region of the
+// universe, that follows the depths recent searches found; it probes the
 // root prefix ε only when no proper prefix was found. At quiescence it
 // finds the same lowest ancestor in about 3.5 probes instead of
 // ⌈log2 W⌉+1, and never in more than 2⌈log2 W⌉ (one at W = 1).
@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 
 	"skiptrie/internal/dcss"
-	"skiptrie/internal/gid"
 	"skiptrie/internal/skiplist"
 	"skiptrie/internal/splitorder"
 	"skiptrie/internal/stats"
@@ -89,9 +88,15 @@ type treeNode struct {
 }
 
 // startStripes is the number of start depths LowestAncestor keeps, one
-// per goroutine-hash stripe, so that on many cores its one-step updates
-// do not all land on one shared cache line.
-const startStripes = 16
+// per region of the universe named by a key's top startBits bits. Keys
+// in one region share a density, so they share a good start depth; and
+// searches of different regions do not land their one-step updates on
+// one shared cache line. The stripe depends only on the key, so a
+// sequence of searches probes the same prefixes on every run.
+const (
+	startBits    = 4
+	startStripes = 1 << startBits
+)
 
 // startStripe is one padded start depth of LowestAncestor's gallop.
 type startStripe struct {
@@ -171,14 +176,15 @@ func (t *Trie) lookup(p uintbits.Prefix, c *stats.Op) *treeNode {
 // gallops from a start depth: it probes that depth, steps outward by 1,
 // 3, 7, … until the answer flips, and binary-searches the bracket. The
 // root prefix ε is probed only when no proper prefix was found. The start
-// depth is one of startStripes, picked by goroutine hash, and each search
-// moves its stripe one step toward the depth it found, so the start
-// settles where most searches end: about 3.5 probes per search instead
-// of the binary search's ⌈log2 W⌉+1. Whatever the start, and whatever
-// concurrent updates do to the answers, a search makes at most 2⌈log2 W⌉
-// probes (one at W = 1): the start, at most ⌈log2 W⌉ gallop steps, and a
-// binary search of the last step's bracket, one probe fewer; ε is probed
-// only after every gallop step missed, which leaves no bracket to search.
+// depth is one of startStripes, picked by the key's top bits, and each
+// search moves its stripe one step toward the depth it found, so the
+// start settles where most searches of that region end: about 3.5 probes
+// per search instead of the binary search's ⌈log2 W⌉+1. Whatever the
+// start, and whatever concurrent updates do to the answers, a search
+// makes at most 2⌈log2 W⌉ probes (one at W = 1): the start, at most
+// ⌈log2 W⌉ gallop steps, and a binary search of the last step's bracket,
+// one probe fewer; ε is probed only after every gallop step missed, which
+// leaves no bracket to search.
 // So the paper's O(log log u) bound holds.
 //
 // Like the paper's version the search is only advisory under concurrency:
@@ -187,7 +193,7 @@ func (t *Trie) lookup(p uintbits.Prefix, c *stats.Op) *treeNode {
 func (t *Trie) LowestAncestor(key uint64, c *stats.Op) *skiplist.Node {
 	s := ancestorSearch{t: t, key: key, best: t.list.Head()}
 	if top := int(t.width) - 1; top > 0 {
-		st := &t.start[gid.Hash()&(startStripes-1)].depth
+		st := &t.start[key<<(64-t.width)>>(64-startBits)].depth
 		from := int(st.Load())
 		found := s.gallop(from, top, c)
 		// Store only on a change, so that a settled stripe's cache line

@@ -143,10 +143,10 @@ func WithEagerPrevRepair() Option {
 // WithSeed seeds tower-height randomness. The default seed is fixed;
 // use distinct seeds for statistically independent runs.
 //
-// Height draws are served from striped per-goroutine generator states
-// (one padded lane per goroutine-hash bucket), so the seed fixes the
-// drawn sequence — and therefore the structure's shape — only when all
-// inserts come from a single goroutine. Concurrent writers interleave
+// Height draws are served from striped generator states (one padded
+// lane per key-hash bucket), so the seed and the sequence of inserted
+// keys fix the drawn heights — and therefore the structure's shape — when
+// all inserts come from a single goroutine. Concurrent writers interleave
 // stripe seeding and stepping nondeterministically: shapes stay
 // statistically identical but are not reproducible run to run.
 func WithSeed(seed uint64) Option {

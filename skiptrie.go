@@ -10,8 +10,8 @@
 // reach the top level (probability 1/log u) are additionally indexed by a
 // lock-free x-fast trie — a hash table over key prefixes. Where the paper
 // binary-searches the prefix lengths, a search here gallops from a start
-// depth kept per goroutine-hash stripe, which follows the depths recent
-// searches found, and probes at most 2⌈log2 W⌉ prefixes, still
+// depth kept per region of the universe, which follows the depths recent
+// searches there found, and probes at most 2⌈log2 W⌉ prefixes, still
 // O(log log u). Expected gaps of log u between indexed keys replace the
 // y-fast trie's explicit bucket rebalancing, which is what makes a
 // lock-free implementation tractable.
