@@ -227,38 +227,6 @@ func BenchmarkF1TopLevelGaps(b *testing.B) {
 	}
 }
 
-// --- T7: DCSS vs CAS fallback ---
-
-func BenchmarkT7DCSSvsCAS(b *testing.B) {
-	const w = 32
-	for _, disable := range []bool{false, true} {
-		name := "dcss"
-		if disable {
-			name = "cas-fallback"
-		}
-		b.Run(name, func(b *testing.B) {
-			s := harness.SkipTrieSet{T: core.NewSet(core.Config{Width: w, DisableDCSS: disable, Seed: 43})}
-			harness.Prefill(s, benchM, w)
-			mix := workload.Mix{InsertPct: 25, DeletePct: 25}
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(rand.Int63()))
-				gen := workload.Uniform{W: w}
-				for pb.Next() {
-					k := gen.Next(rng)
-					switch mix.Pick(rng) {
-					case workload.OpInsert:
-						s.Insert(k, nil)
-					case workload.OpDelete:
-						s.Delete(k, nil)
-					default:
-						s.Predecessor(k, nil)
-					}
-				}
-			})
-		})
-	}
-}
-
 // --- T8: prev-repair discipline ---
 
 func BenchmarkT8PrevRepair(b *testing.B) {

@@ -62,14 +62,13 @@ func run() int {
 		"t5": harness.T5Contention,
 		"t6": harness.T6Space,
 		"f1": harness.F1TopGaps,
-		"t7": harness.T7DCSSvsCAS,
 		"t8": harness.T8PrevRepair,
 		"s1": harness.S1ShardedScaling,
 		"s2": harness.S2HotRangeResharding,
 		"s3": s3PinPressure,
 		"s4": s4ConnectionScale,
 	}
-	order := []string{"t1", "t2", "t3", "t4", "t5", "t6", "f1", "t7", "t8", "s1", "s2", "s3", "s4"}
+	order := []string{"t1", "t2", "t3", "t4", "t5", "t6", "f1", "t8", "s1", "s2", "s3", "s4"}
 
 	var ids []string
 	if *exp == "all" {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	skipstress [-rounds 20] [-workers 8] [-ops 5000] [-width 32]
-//	           [-hot 0] [-nodcss] [-eager] [-seed 1]
+//	           [-hot 0] [-eager] [-seed 1]
 //
 // Each round: workers execute random operations (over a hot window if -hot
 // is set); then the structure is validated and per-key accounting is
@@ -37,7 +37,6 @@ func run() int {
 		ops     = flag.Int("ops", 5000, "operations per worker per round")
 		width   = flag.Int("width", 32, "universe width")
 		hot     = flag.Int("hot", 0, "hot-window size (0 = whole universe scaled to 1<<20)")
-		noDCSS  = flag.Bool("nodcss", false, "run in CAS-fallback mode")
 		eager   = flag.Bool("eager", false, "use eager prev repair (option 1)")
 		seed    = flag.Int64("seed", 1, "base RNG seed")
 	)
@@ -48,10 +47,9 @@ func run() int {
 		repair = skiplist.RepairEager
 	}
 	st := core.NewSet(core.Config{
-		Width:       uint8(*width),
-		DisableDCSS: *noDCSS,
-		Repair:      repair,
-		Seed:        uint64(*seed),
+		Width:  uint8(*width),
+		Repair: repair,
+		Seed:   uint64(*seed),
 	})
 
 	span := uint64(1) << 20
@@ -62,8 +60,8 @@ func run() int {
 		span = uint64(*hot)
 	}
 
-	fmt.Printf("skipstress: width=%d workers=%d ops/round=%d span=%d dcss=%v eager=%v\n",
-		*width, *workers, *ops, span, !*noDCSS, *eager)
+	fmt.Printf("skipstress: width=%d workers=%d ops/round=%d span=%d eager=%v\n",
+		*width, *workers, *ops, span, *eager)
 
 	// deltas[w][k] tracks worker w's net successful inserts of key k so the
 	// final state can be checked exactly.

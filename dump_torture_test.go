@@ -22,14 +22,14 @@ import (
 // must yield exactly a prefix of the full restore and report
 // ErrTornDump.
 //
-// Run under -race in CI in both DCSS and CAS-fallback modes.
+// Run under -race in CI.
 func TestDumpTortureCrashMidDump(t *testing.T) {
 	const (
 		w       = 16
 		writers = 3
 	)
 	iters := testenv.Scale(600)
-	s := MustNewSharded[uint64](tortureShardedOpts(WithWidth(w), WithShards(4), WithMaxShards(64), WithSeed(41))...)
+	s := MustNewSharded[uint64](WithWidth(w), WithShards(4), WithMaxShards(64), WithSeed(41))
 	defer s.Close()
 
 	step := uint64(1) << (w - 6)

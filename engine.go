@@ -21,13 +21,12 @@ type engine[V any] struct {
 // trie at one shard that never reshards.
 func newEngine[V any](o options, shards, maxShards int) engine[V] {
 	t := shard.New[V](shard.Config{
-		Width:       o.width,
-		Shards:      shards,
-		MaxShards:   maxShards,
-		DisableDCSS: o.disableDCSS,
-		Repair:      o.repair,
-		Seed:        o.seed,
-		Trace:       o.hooks.internalTrace(),
+		Width:     o.width,
+		Shards:    shards,
+		MaxShards: maxShards,
+		Repair:    o.repair,
+		Seed:      o.seed,
+		Trace:     o.hooks.internalTrace(),
 	})
 	attachGauges(o.metrics, t, func(t *shard.Trie[V]) gaugeSample {
 		live, retained, segs, oldest := t.PinStats()

@@ -33,9 +33,7 @@ func TestConcurrentSameKeyChurnTrieClean(t *testing.T) {
 		iters = 60
 	}
 	for iter := 0; iter < iters; iter++ {
-		// The DisableDCSS knob lets CI audit the CAS-fallback mode for
-		// analogous stale-prefix windows (the ROADMAP's open question).
-		s := New[uint64](Config{Width: 16, Seed: uint64(iter + 1), DisableDCSS: testenv.DisableDCSS()})
+		s := New[uint64](Config{Width: 16, Seed: uint64(iter + 1)})
 		keys := []uint64{0x1FFF, 0x2000, 0x3FFF, 0x4000, 0xDFFF, 0xE000, 0xFFFF}
 		var wg sync.WaitGroup
 		for g := 0; g < 7; g++ {
@@ -70,76 +68,73 @@ func TestConcurrentSameKeyChurnTrieClean(t *testing.T) {
 // a trie pointer onto it. The insert of K parks before its top-level
 // raise while K is deleted, then again just before marking its own top
 // node while the adjacent top-level key Y is deleted through the
-// SkipTrie; the trie must be clean once the insert returns. Raises are
-// plain CASes with or without DCSS, so both modes run it.
+// SkipTrie; the trie must be clean once the insert returns.
 func TestRaiseTornDownTrieClean(t *testing.T) {
 	const k, y = 0x1000, 0x2000
-	for _, noDCSS := range []bool{false, true} {
-		s := New[struct{}](Config{Width: 16, DisableDCSS: noDCSS, Seed: 1})
-		top := s.Levels() - 1
-		onTop := func(key uint64) bool {
-			n := s.trie.Pred(key, false, nil)
-			return n.IsData() && n.Key() == key && !n.Marked()
+	s := New[struct{}](Config{Width: 16, Seed: 1})
+	top := s.Levels() - 1
+	onTop := func(key uint64) bool {
+		n := s.trie.Pred(key, false, nil)
+		return n.IsData() && n.Key() == key && !n.Marked()
+	}
+	for i := 0; !onTop(y); i++ {
+		if i == 1000 {
+			t.Fatal("no tower of Y reached the top level")
 		}
-		for i := 0; !onTop(y); i++ {
-			if i == 1000 {
-				t.Fatal("no tower of Y reached the top level")
-			}
-			s.Delete(y, nil)
-			s.Add(y, nil)
-		}
+		s.Delete(y, nil)
+		s.Add(y, nil)
+	}
 
-		// Each site parks once: a retried mark CAS passes its site again.
-		parked := make(chan string)
-		resume := make(chan struct{})
-		var marking atomic.Bool
-		restore := skiplist.SetTestHook(func(site string, n *skiplist.Node) {
-			if n.Key() != k || n.Level() != top {
-				return
+	// Each site parks once: a retried mark CAS passes its site again.
+	parked := make(chan string)
+	resume := make(chan struct{})
+	var marking atomic.Bool
+	restore := skiplist.SetTestHook(func(site string, n *skiplist.Node) {
+		if n.Key() != k || n.Level() != top {
+			return
+		}
+		if site == "insert.before-raise" ||
+			site == "delete.before-mark" && marking.CompareAndSwap(false, true) {
+			parked <- site
+			<-resume
+		}
+	})
+	t.Cleanup(restore) // a failed step must not leave the hook parking later tests
+	var done chan struct{}
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("no tower of K reached the top level")
+		}
+		done = make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Add(k, nil)
+		}()
+		select {
+		case site := <-parked:
+			if site != "insert.before-raise" {
+				t.Fatalf("insert parked at %s, want insert.before-raise", site)
 			}
-			if site == "insert.before-raise" ||
-				site == "delete.before-mark" && marking.CompareAndSwap(false, true) {
-				parked <- site
-				<-resume
-			}
-		})
-		t.Cleanup(restore) // a failed step must not leave the hook parking later tests
-		var done chan struct{}
-		for i := 0; ; i++ {
-			if i == 1000 {
-				t.Fatal("no tower of K reached the top level")
-			}
-			done = make(chan struct{})
-			go func() {
-				defer close(done)
-				s.Add(k, nil)
-			}()
-			select {
-			case site := <-parked:
-				if site != "insert.before-raise" {
-					t.Fatalf("noDCSS=%v: insert parked at %s, want insert.before-raise", noDCSS, site)
-				}
-			case <-done:
-				s.Delete(k, nil) // the tower stayed below the top: draw again
-				continue
-			}
-			break
+		case <-done:
+			s.Delete(k, nil) // the tower stayed below the top: draw again
+			continue
 		}
-		if !s.Delete(k, nil) {
-			t.Fatalf("noDCSS=%v: delete of the parked insert's key failed", noDCSS)
-		}
-		resume <- struct{}{}
-		if site := <-parked; site != "delete.before-mark" {
-			t.Fatalf("noDCSS=%v: insert parked at %s, want delete.before-mark", noDCSS, site)
-		}
-		if !s.Delete(y, nil) {
-			t.Fatalf("noDCSS=%v: delete of the neighbour failed", noDCSS)
-		}
-		resume <- struct{}{}
-		<-done
-		restore()
-		if err := s.Validate(); err != nil {
-			t.Errorf("noDCSS=%v: %v", noDCSS, err)
-		}
+		break
+	}
+	if !s.Delete(k, nil) {
+		t.Fatal("delete of the parked insert's key failed")
+	}
+	resume <- struct{}{}
+	if site := <-parked; site != "delete.before-mark" {
+		t.Fatalf("insert parked at %s, want delete.before-mark", site)
+	}
+	if !s.Delete(y, nil) {
+		t.Fatal("delete of the neighbour failed")
+	}
+	resume <- struct{}{}
+	<-done
+	restore()
+	if err := s.Validate(); err != nil {
+		t.Error(err)
 	}
 }

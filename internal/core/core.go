@@ -16,6 +16,11 @@
 // zero-width. The x-fast trie only ever sees the skiplist's value-free
 // Topology, so it compiles once regardless of V.
 //
+// Every update is a single-word CAS. Where the paper uses DCSS — top-level
+// prev pointers and x-fast pointer swings — the CAS lands unguarded and
+// the update is repaired if it has gone stale, which the paper proves
+// keeps the structure linearizable and lock-free.
+//
 // Every operation takes an optional *stats.Op for step accounting; pass
 // nil to disable.
 package core
@@ -53,11 +58,6 @@ type Config struct {
 	// Width < 64 (a 64-bit universe already spans the whole key space)
 	// and Base+2^Width must not overflow; New panics otherwise.
 	Base uint64
-	// DisableDCSS replaces each DCSS — top-level prev updates in the
-	// skiplist and pointer swings in the x-fast trie — with a plain CAS,
-	// the degraded mode the paper proves remains linearizable and
-	// lock-free (T7 ablation).
-	DisableDCSS bool
 	// Repair selects the top-level prev-pointer discipline (T8 ablation).
 	Repair skiplist.RepairMode
 	// Seed seeds tower-height randomness; 0 selects a fixed default.
@@ -82,17 +82,16 @@ func New[V any](cfg Config) *SkipTrie[V] {
 		}
 	}
 	l := skiplist.New[V](skiplist.Config{
-		Levels:      uintbits.Levels(w),
-		DisableDCSS: cfg.DisableDCSS,
-		Repair:      cfg.Repair,
-		Seed:        cfg.Seed,
-		Trace:       cfg.Trace,
+		Levels: uintbits.Levels(w),
+		Repair: cfg.Repair,
+		Seed:   cfg.Seed,
+		Trace:  cfg.Trace,
 	})
 	return &SkipTrie[V]{
 		width: w,
 		base:  cfg.Base,
 		list:  l,
-		trie:  xfast.New(xfast.Config{Width: w, List: l.Topo(), DisableDCSS: cfg.DisableDCSS}),
+		trie:  xfast.New(xfast.Config{Width: w, List: l.Topo()}),
 	}
 }
 

@@ -9,14 +9,11 @@ import (
 
 	"skiptrie/internal/skiplist"
 	"skiptrie/internal/stats"
-	"skiptrie/internal/testenv"
 )
 
-// newTrie builds the tests' default trie. The DisableDCSS knob comes
-// from the environment (see internal/testenv): CI re-runs this whole
-// suite in the CAS-fallback mode under -race.
+// newTrie builds the tests' default trie.
 func newTrie(w uint8) *SkipTrie[uint64] {
-	return New[uint64](Config{Width: w, Seed: 13, DisableDCSS: testenv.DisableDCSS()})
+	return New[uint64](Config{Width: w, Seed: 13})
 }
 
 func TestEmpty(t *testing.T) {
@@ -331,8 +328,8 @@ func TestTopGapsGeometric(t *testing.T) {
 	}
 }
 
-func TestDisableDCSS(t *testing.T) {
-	s := NewSet(Config{Width: 16, DisableDCSS: true, Seed: 3})
+func TestDeleteAlternateKeys(t *testing.T) {
+	s := NewSet(Config{Width: 16, Seed: 3})
 	for k := uint64(0); k < 5000; k++ {
 		s.Add(k, nil)
 	}
@@ -501,8 +498,8 @@ func TestConcurrentMixedWithQueries(t *testing.T) {
 	}
 }
 
-func TestConcurrentDCSSDisabled(t *testing.T) {
-	s := NewSet(Config{Width: 20, DisableDCSS: true, Seed: 9})
+func TestConcurrentRandomChurn(t *testing.T) {
+	s := NewSet(Config{Width: 20, Seed: 9})
 	const workers = 6
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {

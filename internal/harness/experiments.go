@@ -227,13 +227,13 @@ func T5Contention(sc Scale) Result {
 		Prefill(st, sc.M, w)
 		gen := workload.Clustered{W: w, Base: 1 << 20, Span: 1024}
 		r := RunConcurrent(st, gen, workload.Mix{InsertPct: 25, DeletePct: 25}, threads, sc.Duration, 31+int64(threads))
-		// Attribute steps: reads vs writes are mixed; report overall plus
-		// CAS+DCSS (write-side) separately.
+		// Attribute steps: reads vs writes are mixed; report the read
+		// side (hops and probes) and the CAS attempts separately.
 		opsF := float64(max(r.Ops, 1))
 		res.AddRow(
 			I(threads),
 			F(float64(r.Steps.Hops+r.Steps.HashProbes)/opsF),
-			F(float64(r.Steps.CAS+r.Steps.DCSS)/opsF),
+			F(float64(r.Steps.CAS)/opsF),
 			F(r.OpsPerMs),
 		)
 	}
@@ -277,13 +277,13 @@ func T6Space(sc Scale) Result {
 // skiplist root (a 64-byte Node and a birth stamp, 72 B) in the 80-byte
 // class; each tower node above level 0 is 64 B of its tower's slab (a
 // slab of h−1 nodes, 64·(h−1) B, is itself a size class); a trie prefix
-// is a 32-byte hash-table node plus the 24-byte cell holding its pointer
-// pair; a hash bucket is an 8-byte directory slot plus a 32-byte sentinel
+// is a 32-byte hash-table node plus the 16-byte pair its pointer holds;
+// a hash bucket is an 8-byte directory slot plus a 32-byte sentinel
 // node.
 const (
 	rootBytes   = 80
 	towerBytes  = 64
-	prefixBytes = 32 + 24
+	prefixBytes = 32 + 16
 	bucketBytes = 8 + 32
 )
 
@@ -357,36 +357,6 @@ func F1TopGaps(sc Scale) Result {
 	return res
 }
 
-// T7DCSSvsCAS: the fallback mode (DCSS replaced by CAS) stays correct; its
-// cost is comparable.
-func T7DCSSvsCAS(sc Scale) Result {
-	res := Result{
-		Name:   "T7 DCSS vs CAS-fallback",
-		Claim:  "replacing DCSS with CAS preserves linearizability and lock-freedom; perf is comparable",
-		Header: []string{"mode", "threads", "kop/s", "steps/op", "validate"},
-	}
-	const w = 32
-	for _, disable := range []bool{false, true} {
-		mode := "DCSS"
-		if disable {
-			mode = "CAS-only"
-		}
-		for _, threads := range []int{1, sc.Threads[len(sc.Threads)-1]} {
-			st := core.NewSet(core.Config{Width: w, DisableDCSS: disable, Seed: 43})
-			s := SkipTrieSet{T: st}
-			Prefill(s, sc.M, w)
-			r := RunConcurrent(s, workload.Uniform{W: w}, workload.Mix{InsertPct: 25, DeletePct: 25}, threads, sc.Duration, 77)
-			verdict := "ok"
-			if err := st.Validate(); err != nil {
-				verdict = "FAIL: " + err.Error()
-			}
-			res.AddRow(mode, I(threads), F(r.OpsPerMs),
-				F(float64(r.Steps.Steps())/float64(max(r.Ops, 1))), verdict)
-		}
-	}
-	return res
-}
-
 // T8PrevRepair: the paper's Section 1 design discussion — relaxed prev
 // repair (option 2, the paper's choice) vs eager helping (option 1).
 func T8PrevRepair(sc Scale) Result {
@@ -413,7 +383,7 @@ func T8PrevRepair(sc Scale) Result {
 			r := RunConcurrent(s, gen, workload.Mix{InsertPct: 45, DeletePct: 45}, threads, sc.Duration, 88)
 			opsF := float64(max(r.Ops, 1))
 			res.AddRow(mode, I(threads), F(r.OpsPerMs),
-				F2(float64(r.Steps.CAS+r.Steps.DCSS)/opsF),
+				F2(float64(r.Steps.CAS)/opsF),
 				F2(float64(r.Steps.Hops+r.Steps.HashProbes)/opsF))
 		}
 	}
@@ -593,7 +563,6 @@ func All(sc Scale) []Result {
 		T5Contention(sc),
 		T6Space(sc),
 		F1TopGaps(sc),
-		T7DCSSvsCAS(sc),
 		T8PrevRepair(sc),
 		S1ShardedScaling(sc),
 		S2HotRangeResharding(sc),

@@ -127,7 +127,6 @@ func TestExperimentsProduceRows(t *testing.T) {
 		{"T5", T5Contention},
 		{"T6", T6Space},
 		{"F1", F1TopGaps},
-		{"T7", T7DCSSvsCAS},
 		{"T8", T8PrevRepair},
 		{"S1", S1ShardedScaling},
 		{"S2", S2HotRangeResharding},
@@ -140,15 +139,6 @@ func TestExperimentsProduceRows(t *testing.T) {
 			if len(row) != len(res.Header) {
 				t.Fatalf("%s: row width %d != header %d", tc.name, len(row), len(res.Header))
 			}
-		}
-	}
-}
-
-func TestT7ReportsValidation(t *testing.T) {
-	res := T7DCSSvsCAS(tinyScale())
-	for _, row := range res.Rows {
-		if row[len(row)-1] != "ok" {
-			t.Fatalf("T7 validation failed: %v", row)
 		}
 	}
 }

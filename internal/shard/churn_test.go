@@ -4,18 +4,13 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"skiptrie/internal/testenv"
 )
 
 // TestTortureBoundaryChurnMergeScans churns the keys at every shard
 // boundary while readers drive the shard cursor across those same
 // boundaries in both directions, checking strict monotonicity, value
 // integrity, and that only ever-written keys appear. Run under -race in
-// CI in both DCSS and CAS-fallback modes — the testenv knob rebuilds
-// the trie with DisableDCSS so the fallback race stage exercises this
-// package too (the ROADMAP's fallback-audit instrument at the shard
-// layer).
+// CI.
 func TestTortureBoundaryChurnMergeScans(t *testing.T) {
 	const (
 		w       = 16
@@ -25,10 +20,9 @@ func TestTortureBoundaryChurnMergeScans(t *testing.T) {
 		iters   = 1500
 	)
 	tr := New[uint64](Config{
-		Width:       w,
-		Shards:      shards,
-		Seed:        17,
-		DisableDCSS: testenv.DisableDCSS(),
+		Width:  w,
+		Shards: shards,
+		Seed:   17,
 	})
 	step := uint64(1) << (w - 3) // log2(shards) = 3
 	valid := map[uint64]bool{}

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"skiptrie/internal/testenv"
 )
 
 // contents returns the trie's key/value pairs in order.
@@ -151,7 +149,7 @@ func TestMaxShardsFloorsAtInitial(t *testing.T) {
 // owning a disjoint key slice with a deterministic last write per key —
 // while splits and merges continuously reshape the partition. After the
 // join, contents must equal every writer's final writes exactly. Run
-// under -race in CI in both DCSS and CAS-fallback modes.
+// under -race in CI.
 func TestSplitMergeUnderLoad(t *testing.T) {
 	const (
 		w       = 14
@@ -160,11 +158,10 @@ func TestSplitMergeUnderLoad(t *testing.T) {
 		rounds  = 60
 	)
 	tr := New[uint64](Config{
-		Width:       w,
-		Shards:      2,
-		MaxShards:   64,
-		Seed:        3,
-		DisableDCSS: testenv.DisableDCSS(),
+		Width:     w,
+		Shards:    2,
+		MaxShards: 64,
+		Seed:      3,
 	})
 	var wg sync.WaitGroup
 	finals := make([]map[uint64]uint64, writers)
@@ -266,8 +263,7 @@ func TestSplitMergeUnderLoad(t *testing.T) {
 // deepest possible shard boundaries while readers run the concatenating
 // cursor across them in both directions and point readers probe the
 // same keys. Checks strict scan monotonicity, value integrity, and that
-// the partition is valid after the storm. Run under -race in CI in both
-// DCSS and CAS-fallback modes.
+// the partition is valid after the storm. Run under -race in CI.
 func TestTortureReshardBoundaryChurn(t *testing.T) {
 	const (
 		w       = 16
@@ -276,11 +272,10 @@ func TestTortureReshardBoundaryChurn(t *testing.T) {
 		iters   = 1200
 	)
 	tr := New[uint64](Config{
-		Width:       w,
-		Shards:      4,
-		MaxShards:   32,
-		Seed:        17,
-		DisableDCSS: testenv.DisableDCSS(),
+		Width:     w,
+		Shards:    4,
+		MaxShards: 32,
+		Seed:      17,
 	})
 	// Keys straddling every boundary the partition can ever have at
 	// MaxShards=32: multiples of 2^(w-5).

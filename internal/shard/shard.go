@@ -75,12 +75,11 @@ type Config struct {
 	// rounded and clamped like Shards and floored at the initial shard
 	// count. The default (0) allows the full 2^MaxShardBits.
 	MaxShards int
-	// DisableDCSS, Repair and Seed configure every shard as in
-	// core.Config; the i'th shard ever created is seeded Seed+i so
-	// shard shapes are reproducible yet statistically independent.
-	DisableDCSS bool
-	Repair      skiplist.RepairMode
-	Seed        uint64
+	// Repair and Seed configure every shard as in core.Config; the
+	// i'th shard ever created is seeded Seed+i so shard shapes are
+	// reproducible yet statistically independent.
+	Repair skiplist.RepairMode
+	Seed   uint64
 	// Trace, when non-nil, receives lifecycle events from every shard
 	// (pin/sweep/journal, via core.Config) plus this package's
 	// per-phase migration events.

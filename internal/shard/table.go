@@ -129,12 +129,11 @@ func (t *Trie[V]) newBucket(lo uint64, bits uint8) *bucket[V] {
 	w := t.width - bits
 	return &bucket[V]{
 		trie: core.New[V](core.Config{
-			Width:       w,
-			Base:        lo,
-			DisableDCSS: t.cfg.DisableDCSS,
-			Repair:      t.cfg.Repair,
-			Seed:        t.cfg.Seed + t.seedCtr.Add(1) - 1,
-			Trace:       t.cfg.Trace,
+			Width:  w,
+			Base:   lo,
+			Repair: t.cfg.Repair,
+			Seed:   t.cfg.Seed + t.seedCtr.Add(1) - 1,
+			Trace:  t.cfg.Trace,
 		}),
 		lo:   lo,
 		hi:   lo + (^uint64(0) >> (64 - w)),

@@ -226,10 +226,11 @@ func (l *Topology) PinEpoch() uint64 {
 	return e
 }
 
-// ReleaseEpoch drops one reference on a pinned epoch and reclaims every
-// retained node no remaining pin can see. Each PinEpoch must be matched
-// by exactly one ReleaseEpoch with its returned value.
-func (l *Topology) ReleaseEpoch(e uint64) {
+// releaseEpoch is the value-free part of ReleaseEpoch: it drops one
+// reference on a pinned epoch and, if that moved the pin horizon,
+// reclaims every retained node no remaining pin can see, truncates the
+// journal and reports true.
+func (l *Topology) releaseEpoch(e uint64) bool {
 	swept := false
 	ageNs := int64(0)
 	l.pinMu.Lock()
@@ -264,6 +265,7 @@ func (l *Topology) ReleaseEpoch(e uint64) {
 		l.sweepRetired(nil)
 		l.journalTruncate()
 	}
+	return swept
 }
 
 // sweepRetired reclaims every retired node whose dead epoch no live pin

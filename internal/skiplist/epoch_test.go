@@ -1,8 +1,11 @@
 package skiplist
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"skiptrie/internal/uintbits"
 )
@@ -183,6 +186,124 @@ func TestEpochValueVersions(t *testing.T) {
 	l.Upsert(9, 400, nil, nil)
 	if got := l.ValueOf(n); got != 400 {
 		t.Fatalf("live value = %d, want 400", got)
+	}
+}
+
+// TestReleasePrunesValueHistory overwrites a key holding 1 MiB values
+// under two pins. Each superseded value must stay readable at the pins
+// that select it and become garbage when the last of them is released,
+// not only at the key's next overwrite.
+func TestReleasePrunesValueHistory(t *testing.T) {
+	l := New[[]byte](Config{Levels: 4, Seed: 1})
+	n := l.InsertWithHeight(1, nil, nil, 1, nil).Root
+	// store overwrites the key with a fresh 1 MiB value and keeps no
+	// reference to it but a weak one.
+	store := func() weak.Pointer[byte] {
+		v := make([]byte, 1<<20)
+		l.SetValue(n, v)
+		return weak.Make(&v[0])
+	}
+	collected := func(w weak.Pointer[byte]) bool {
+		runtime.GC()
+		runtime.GC()
+		return w.Value() == nil
+	}
+	a := store()
+	p1 := l.PinEpoch()
+	b := store()
+	p2 := l.PinEpoch()
+	c := store()
+	if &l.ValueAt(n, p1)[0] != a.Value() || &l.ValueAt(n, p2)[0] != b.Value() {
+		t.Fatal("a pinned read did not return the value current at its pin")
+	}
+	l.ReleaseEpoch(p1)
+	if !collected(a) {
+		t.Fatal("the value only the released pin selected outlived the release")
+	}
+	if collected(b) || &l.ValueAt(n, p2)[0] != b.Value() {
+		t.Fatal("the value the live pin selects was dropped")
+	}
+	l.ReleaseEpoch(p2)
+	if !collected(b) {
+		t.Fatal("a superseded value outlived the release of the last pin")
+	}
+	if collected(c) || &l.ValueOf(n)[0] != c.Value() {
+		t.Fatal("the current value was dropped")
+	}
+}
+
+// TestReleaseRacingHistoryPush parks the first overwrite of a key under
+// a pin just before it pushes its new history record, and releases the
+// pin meanwhile: the release's sweep finds nothing to prune, so the
+// overwrite must sweep again once it has pushed.
+func TestReleaseRacingHistoryPush(t *testing.T) {
+	l := New[int](Config{Levels: 4, Seed: 1})
+	n := l.InsertWithHeight(1, 1, nil, 1, nil).Root
+	p := l.PinEpoch()
+	paused := make(chan struct{})
+	resume := make(chan struct{})
+	restore := SetTestHook(func(site string, _ *Node) {
+		if site == "history.before-push" {
+			close(paused)
+			<-resume
+		}
+	})
+	t.Cleanup(restore)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		l.SetValue(n, 2)
+	}()
+	<-paused
+	l.ReleaseEpoch(p)
+	close(resume)
+	<-done
+	restore()
+	if dataOf[int](n).hist != nil {
+		t.Fatal("a history record outlived the release it raced")
+	}
+}
+
+// TestReleaseDropsHistoriesUnderChurn overwrites keys from several
+// goroutines while another pins and releases epochs; run it under -race.
+// Once the last pin is released, no key may keep a history record.
+func TestReleaseDropsHistoriesUnderChurn(t *testing.T) {
+	const keys = 64
+	l := New[int](Config{Levels: 4, Seed: 1})
+	roots := make([]*Node, keys)
+	for k := range roots {
+		roots[k] = l.InsertWithHeight(uint64(k), k, nil, 1, nil).Root
+	}
+	stop := make(chan struct{})
+	pinner := make(chan struct{})
+	go func() {
+		defer close(pinner)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				l.ReleaseEpoch(l.PinEpoch())
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				l.SetValue(roots[(i*7+g)%keys], i)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-pinner
+	for k, n := range roots {
+		if dataOf[int](n).hist != nil {
+			t.Fatalf("key %d kept a history record after the last release", k)
+		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"skiptrie/internal/testenv"
 )
 
 // iterList builds a list over the given keys (value = key*10) with
@@ -164,9 +162,7 @@ func TestIterSeekDeletedKey(t *testing.T) {
 // and that stable sentinel keys are always reported. Run under -race
 // in CI.
 func TestIterConcurrentChurn(t *testing.T) {
-	// The DisableDCSS knob lets CI's fallback race stage re-run this
-	// churn in CAS-only mode (see internal/testenv).
-	l := New[uint64](Config{Levels: 5, Seed: 3, DisableDCSS: testenv.DisableDCSS()})
+	l := New[uint64](Config{Levels: 5, Seed: 3})
 	// Stable anchors at both ends and every 1000; churn in between.
 	var anchors []uint64
 	for k := uint64(0); k <= 10_000; k += 1000 {

@@ -38,6 +38,12 @@ type List[V any] struct {
 	// reclaimer for published nodes; what the pool removes is the churn
 	// from nodes that never entered the structure at all.
 	pool sync.Pool
+
+	// hists chains, through history.next, every history record an
+	// overwrite under a live pin allocated, so that a release that moves
+	// the pin horizon prunes what no remaining pin can select
+	// (sweepHistories) instead of leaving it to the key's next overwrite.
+	hists atomic.Pointer[history[V]]
 }
 
 // newRoot returns a level-0 root holding val, ready for stamping: either
@@ -129,16 +135,34 @@ type dataNode[V any] struct {
 // val became current and the superseded versions still selectable by a
 // pinned epoch, ascending by from. Only an overwrite under a live pin
 // allocates it, with that overwrite's superseded version held inline in
-// first, so the record is one object; an overwrite that no live or future
-// pin can see behind drops it again. While it is nil, val's stamp is the
-// node's born epoch: an overwrite made with no pin live orders before
-// every live and future pin, so no pinned view or diff window can tell
-// the two stamps apart, and the unpinned write path pays nothing beyond
-// one atomic load.
+// first, so the record is one object; an overwrite, or a release of a
+// pin, after which no live or future pin can see behind it drops it
+// again. While it is nil, val's stamp is the node's born epoch: an
+// overwrite made with no pin live orders before every live and future
+// pin, so no pinned view or diff window can tell the two stamps apart,
+// and the unpinned write path pays nothing beyond one atomic load.
 type history[V any] struct {
 	from  uint64
 	old   []version[V]
 	first [1]version[V]
+	d     *dataNode[V] // the node whose record this is
+	next  *history[V]  // the record below this one on List.hists
+}
+
+// prune drops the versions no pin at or above min can select: every
+// version before the last one stamped at or below min. The kept suffix
+// is slid to the front and the vacated slots zeroed, so pruned values
+// are actually released rather than kept alive by the backing array.
+func (h *history[V]) prune(min uint64) {
+	j := 0
+	for j+1 < len(h.old) && h.old[j+1].from <= min {
+		j++
+	}
+	if j > 0 {
+		kept := copy(h.old, h.old[j:])
+		clear(h.old[kept:])
+		h.old = h.old[:kept]
+	}
 }
 
 // version is one superseded value: val was current from epoch from
@@ -187,7 +211,7 @@ func (l *List[V]) ValueOf(n *Node) V {
 // pushed onto the node's history, stamped with the epoch it was current
 // from, so pinned readers keep reading the value that was current at
 // their epoch; versions no remaining pin can select are pruned on the
-// next overwrite.
+// next overwrite, or when a release moves the pin horizon.
 func (l *List[V]) SetValue(n *Node, v V) {
 	r := n.root
 	if r == nil || r.kind != kindData || unsafe.Sizeof(v) == 0 {
@@ -202,6 +226,7 @@ func (l *List[V]) SetValue(n *Node, v V) {
 	commit := l.commitEnter(r.key)
 	d.lock()
 	e := l.epoch.Load()
+	var fresh *history[V]
 	// A pin P selects the last version stamped at or before P. Every pin
 	// below e registered before the clock passed it, so it is visible in
 	// minPin (noPin while none is live): e <= min means no live or future
@@ -210,9 +235,11 @@ func (l *List[V]) SetValue(n *Node, v V) {
 		d.hist = nil
 	} else if h := d.hist; h == nil {
 		if born := rootOf(r).born; born < e {
-			h = &history[V]{from: e, first: [1]version[V]{{born, d.val}}}
-			h.old = h.first[:]
-			d.hist = h
+			fresh = &history[V]{from: e, first: [1]version[V]{{born, d.val}}, d: d}
+			fresh.old = fresh.first[:]
+			d.hist = fresh
+			hook("history.before-push", r)
+			l.pushHistory(fresh)
 		}
 	} else {
 		if h.from < e {
@@ -221,25 +248,62 @@ func (l *List[V]) SetValue(n *Node, v V) {
 			h.old = append(h.old, version[V]{h.from, d.val})
 			h.first[0], h.from = version[V]{}, e
 		}
-		// Prune unreachable versions: everything before the last
-		// version at or below the smallest pinned epoch is dead. The
-		// kept suffix is slid to the front and the vacated slots
-		// zeroed, so pruned values are actually released rather than
-		// kept alive by the backing array.
-		j := 0
-		for j+1 < len(h.old) && h.old[j+1].from <= min {
-			j++
-		}
-		if j > 0 {
-			kept := copy(h.old, h.old[j:])
-			clear(h.old[kept:])
-			h.old = h.old[:kept]
-		}
+		h.prune(min)
 	}
 	d.val = v
 	l.journalMark(r.key, e)
 	d.unlock()
 	commit.Add(-1)
+	if fresh != nil && l.minPin.Load() >= e {
+		// The release that moved the horizon past e may have swept
+		// before the push; sweep again, as Delete does for a node it
+		// retired.
+		l.sweepHistories()
+	}
+}
+
+// pushHistory links h onto hists.
+func (l *List[V]) pushHistory(h *history[V]) {
+	for {
+		h.next = l.hists.Load()
+		if l.hists.CompareAndSwap(h.next, h) {
+			return
+		}
+	}
+}
+
+// sweepHistories prunes every record on hists of the versions no live
+// or future pin can select, as SetValue prunes on an overwrite, and drops
+// a record once every pin selects the current value. Records still
+// needed go back on hists; those a later overwrite dropped fall off.
+func (l *List[V]) sweepHistories() {
+	min := l.minPin.Load()
+	for h := l.hists.Swap(nil); h != nil; {
+		next := h.next
+		d := h.d
+		d.lock()
+		if d.hist == h {
+			if h.from <= min {
+				d.hist = nil
+			} else {
+				h.prune(min)
+				l.pushHistory(h)
+			}
+		}
+		d.unlock()
+		h = next
+	}
+}
+
+// ReleaseEpoch drops one reference on a pinned epoch. When that moves
+// the pin horizon it reclaims every retained node no remaining pin can
+// see and prunes every value history of the versions no remaining pin
+// can select. Each PinEpoch must be matched by exactly one ReleaseEpoch
+// with its returned value.
+func (l *List[V]) ReleaseEpoch(e uint64) {
+	if l.releaseEpoch(e) {
+		l.sweepHistories()
+	}
 }
 
 // ValueAt returns the value that was current at epoch at for n's tower

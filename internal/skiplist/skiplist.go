@@ -30,9 +30,12 @@
 //
 // Top-level nodes additionally carry a prev pointer forming a doubly-linked
 // list. Linearizability relies only on the forward direction; prev pointers
-// are guides (Section 3). They are set by FixPrev via DCSS, conditioned on
-// left.next still being the node, so a prev pointer is only ever set to a
-// predecessor that was unmarked and adjacent at that instant. The ready
+// are guides (Section 3). They are set by FixPrev with a plain CAS to a
+// predecessor that a search found unmarked and adjacent, and an update
+// that has gone stale by the time it lands is repaired again (setPrev):
+// the paper's DCSS, which would guard the swap with "left.next is still
+// the node", only duplicates that repair, and the paper proves the
+// structure linearizable and lock-free with the guard dropped. The ready
 // flag records that a node's insertion into the doubly-linked list
 // finished. Both repair disciplines discussed
 // in the paper's introduction are implemented: the default relaxed mode
@@ -45,8 +48,8 @@
 // value-free: they carry only the paper's state (keys, towers, next
 // links, back/prev pointers) and implement every navigation and repair
 // algorithm, so code that only routes through the structure — notably the
-// x-fast trie and its DCSS guards — compiles once, independent of any
-// value type. List[V] embeds a Topology and adds the insert path (list.go).
+// x-fast trie — compiles once, independent of any value type. List[V]
+// embeds a Topology and adds the insert path (list.go).
 //
 // # Layout
 //
@@ -71,7 +74,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"skiptrie/internal/dcss"
 	"skiptrie/internal/stats"
 )
 
@@ -105,11 +107,11 @@ const (
 )
 
 // Node is one level of one tower: the value-free topology header every
-// layer above (the x-fast trie, the DCSS guards) operates on. Fields key,
-// kind, level, root and down are immutable after construction. It holds
-// only what a hop, a teardown or the live read path reads: 64 bytes on
-// 64-bit targets, the first 32 of them the fields a hop and a liveness
-// check read (package doc, Layout). A data root's birth stamp is in its
+// layer above (the x-fast trie) operates on. Fields key, kind, level,
+// root and down are immutable after construction. It holds only what a
+// hop, a teardown or the live read path reads: 64 bytes on 64-bit
+// targets, the first 32 of them the fields a hop and a liveness check
+// read (package doc, Layout). A data root's birth stamp is in its
 // rootNode header.
 type Node struct {
 	key uint64
@@ -126,7 +128,7 @@ type Node struct {
 	root *Node                // level-0 node of this tower (self at level 0)
 	down *Node                // next lower tower node; nil at level 0
 	back atomic.Pointer[Node] // recovery hint; points to a strictly smaller node
-	prev dcss.Atom[*Node]     // top level only: backward guide pointer (Section 3)
+	prev atomic.Pointer[Node] // top level only: backward guide pointer (Section 3)
 }
 
 // Node flags.
@@ -211,7 +213,7 @@ func (n *Node) VisibleAt(p uint64) bool {
 }
 
 // Prev returns the node's backward guide pointer (top level only).
-func (n *Node) Prev() *Node { return n.prev.Value() }
+func (n *Node) Prev() *Node { return n.prev.Load() }
 
 // Back returns the node's recovery pointer.
 func (n *Node) Back() *Node { return n.back.Load() }
@@ -248,13 +250,12 @@ func (n *Node) at(t target) bool {
 // instantiations share this one concrete type, so the trie (and anything
 // else that only routes through the structure) compiles exactly once.
 type Topology struct {
-	levels  int
-	useDCSS bool
-	repair  RepairMode
-	heads   [MaxLevels]*Node
-	tails   [MaxLevels]*Node
-	length  atomic.Int64
-	nodes   atomic.Int64 // total live tower nodes, for space accounting
+	levels int
+	repair RepairMode
+	heads  [MaxLevels]*Node
+	tails  [MaxLevels]*Node
+	length atomic.Int64
+	nodes  atomic.Int64 // total live tower nodes, for space accounting
 
 	// Striped tower-height RNG (rng.go): rngSeed is immutable after
 	// init; rngCtr orders lazy stripe seeding; rng holds the padded
@@ -294,11 +295,6 @@ type Topology struct {
 type Config struct {
 	// Levels is the number of skiplist levels (use uintbits.Levels).
 	Levels int
-	// DisableDCSS makes top-level prev updates plain CASes, dropping
-	// the guard that the predecessor still links to the node (see
-	// setPrev), the fallback the paper proves linearizable and
-	// lock-free. Links are plain CASes in both modes.
-	DisableDCSS bool
 	// Repair selects the prev-pointer maintenance discipline.
 	Repair RepairMode
 	// Seed seeds tower-height randomness; 0 selects a fixed default.
@@ -325,7 +321,6 @@ func (l *Topology) init(cfg Config) {
 		lv = MaxLevels
 	}
 	l.levels = lv
-	l.useDCSS = !cfg.DisableDCSS
 	l.repair = cfg.Repair
 	seed := cfg.Seed
 	if seed == 0 {
@@ -510,24 +505,23 @@ func (l *Topology) FixPrev(pred, node *Node, c *stats.Op) {
 	}
 }
 
-// setPrev points node.prev at left, conditioned on left.next still being
-// node — left unmarked and adjacent — which a DCSS checks atomically with
-// the swap; the plain CAS of the DisableDCSS fallback drops the guard. It
-// is the single prev-update step of FixPrev, fixPrevOf and makeReadyChain.
-// Either way, an update found stale once it has landed is repaired again:
-// the delete or insert that made it stale may have finished its own
-// repair of node.prev before the update landed.
+// setPrev points node.prev at left, which a search found unmarked and
+// adjacent to node, by a plain CAS against the pointer it loaded. It is
+// the single prev-update step of FixPrev, fixPrevOf and makeReadyChain.
+// An update found stale once it has landed is repaired again: the delete
+// or insert that made it stale may have finished its own repair of
+// node.prev before the update landed. The CAS compares pointers, so
+// node.prev may have gone A → B → A between the load and the CAS; that
+// history is harmless, because the CAS then lands exactly as it would
+// have had node.prev stayed A: it installs a predecessor that was
+// adjacent when it was searched, and the re-check repairs it like any
+// other stale landing.
 func (l *Topology) setPrev(node, left *Node, c *stats.Op) bool {
 	hook("prev.before-set", left)
-	_, w := node.prev.Load()
-	var ok bool
-	if l.useDCSS {
-		c.IncDCSS()
-		_, ok = node.prev.DCSS(w, left, func() bool { return left.next.Load() == node })
-	} else {
-		c.IncCAS()
-		_, ok = node.prev.CompareAndSwap(w, left)
-	}
+	old := node.prev.Load()
+	hook("prev.before-cas", left)
+	c.IncCAS()
+	ok := node.prev.CompareAndSwap(old, left)
 	if ok && left.next.Load() != node {
 		l.fixPrevOf(node, l.search(node.target(), left, c), c)
 	}
@@ -566,7 +560,7 @@ func (l *Topology) makeReadyChain(node *Node, c *stats.Op) {
 		// Set u.next.prev = u, then u.ready.
 		for {
 			v, marked := u.Next()
-			if marked || v == nil || v.prev.Value() == u || l.setPrev(v, u, c) || u.Marked() {
+			if marked || v == nil || v.prev.Load() == u || l.setPrev(v, u, c) || u.Marked() {
 				break
 			}
 		}

@@ -312,8 +312,8 @@ func TestStopFlagCapsRaising(t *testing.T) {
 	}
 }
 
-func TestDisableDCSSMode(t *testing.T) {
-	l := New[any](Config{Levels: 5, DisableDCSS: true, Seed: 1})
+func TestDeleteAlternateKeys(t *testing.T) {
+	l := New[any](Config{Levels: 5, Seed: 1})
 	for k := uint64(0); k < 2000; k++ {
 		l.Insert(k, nil, nil, nil)
 	}
@@ -331,70 +331,24 @@ func TestDisableDCSSMode(t *testing.T) {
 	CheckInvariants(t, l)
 }
 
-// TestDisableDCSSRaiseAfterDelete parks an insert between its stop-flag
-// check and the plain CAS that raises its tower to a level — a middle
-// one, and the top, whose teardown also repairs prev pointers — while a
-// delete of the key runs to completion. The raise still lands, after the
-// delete's teardown scanned that level, so the insert must tear the node
-// down itself rather than leave an unmarked tower node of a dead root.
-// Raises are plain CASes with or without DCSS, so both modes run it.
-func TestDisableDCSSRaiseAfterDelete(t *testing.T) {
+// TestRaiseAfterDelete parks an insert between its stop-flag check and
+// the CAS that raises its tower to a level — a middle one, and the top,
+// whose teardown also repairs prev pointers — while a delete of the key
+// runs to completion. The raise still lands, after the delete's
+// teardown scanned that level, so the insert must tear the node down
+// itself rather than leave an unmarked tower node of a dead root.
+func TestRaiseAfterDelete(t *testing.T) {
 	const levels = 4
-	for _, noDCSS := range []bool{true, false} {
-		for _, park := range []int{1, levels - 1} {
-			l := New[any](Config{Levels: levels, DisableDCSS: noDCSS, Seed: 1})
-			l.InsertWithHeight(9, nil, nil, levels, nil)
-			paused := make(chan struct{})
-			resume := make(chan struct{})
-			var once sync.Once
-			restore := SetTestHook(func(site string, n *Node) {
-				if site == "insert.before-raise" && n.Key() == 5 && n.Level() == park {
-					once.Do(func() { close(paused) })
-					<-resume
-				}
-			})
-
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				l.InsertWithHeight(5, nil, nil, levels, nil)
-			}()
-			<-paused
-			if !l.Delete(5, nil, nil).Deleted {
-				t.Fatalf("noDCSS=%v level %d: delete of the parked insert's key failed", noDCSS, park)
-			}
-			close(resume)
-			<-done
-			restore()
-			if err := l.Validate(); err != nil {
-				t.Fatalf("noDCSS=%v parked at level %d: %v", noDCSS, park, err)
-			}
-			if l.Contains(5, nil, nil) || !l.Contains(9, nil, nil) {
-				t.Fatalf("noDCSS=%v parked at level %d: wrong key set after the delete", noDCSS, park)
-			}
-		}
-	}
-}
-
-// TestPrevUpdateAfterDelete parks a top-level insert just before it
-// points its successor's prev back at itself, deletes the key to
-// completion — the delete's own repair already points the successor's
-// prev past it — and then lets the update land. Without the DCSS guard
-// the update lands on a deleted node, so setPrev must find it stale
-// and repair it again; with the guard the update fails and is retried.
-func TestPrevUpdateAfterDelete(t *testing.T) {
-	const levels = 4
-	for _, noDCSS := range []bool{true, false} {
-		l := New[any](Config{Levels: levels, DisableDCSS: noDCSS, Seed: 1})
+	for _, park := range []int{1, levels - 1} {
+		l := New[any](Config{Levels: levels, Seed: 1})
+		l.InsertWithHeight(9, nil, nil, levels, nil)
 		paused := make(chan struct{})
 		resume := make(chan struct{})
 		var once sync.Once
 		restore := SetTestHook(func(site string, n *Node) {
-			if site == "prev.before-set" && n.IsData() && n.Key() == 5 {
-				once.Do(func() {
-					close(paused)
-					<-resume
-				})
+			if site == "insert.before-raise" && n.Key() == 5 && n.Level() == park {
+				once.Do(func() { close(paused) })
+				<-resume
 			}
 		})
 
@@ -405,14 +359,106 @@ func TestPrevUpdateAfterDelete(t *testing.T) {
 		}()
 		<-paused
 		if !l.Delete(5, nil, nil).Deleted {
-			t.Fatalf("noDCSS=%v: delete of the parked insert's key failed", noDCSS)
+			t.Fatalf("level %d: delete of the parked insert's key failed", park)
 		}
 		close(resume)
 		<-done
 		restore()
 		if err := l.Validate(); err != nil {
-			t.Fatalf("noDCSS=%v: %v", noDCSS, err)
+			t.Fatalf("parked at level %d: %v", park, err)
 		}
+		if l.Contains(5, nil, nil) || !l.Contains(9, nil, nil) {
+			t.Fatalf("parked at level %d: wrong key set after the delete", park)
+		}
+	}
+}
+
+// TestPrevUpdateAfterDelete parks a top-level insert just before it
+// points its successor's prev back at itself, deletes the key to
+// completion — the delete's own repair already points the successor's
+// prev past it — and then lets the update land. The update lands on a
+// deleted node, so setPrev must find it stale and repair it again.
+func TestPrevUpdateAfterDelete(t *testing.T) {
+	const levels = 4
+	l := New[any](Config{Levels: levels, Seed: 1})
+	paused := make(chan struct{})
+	resume := make(chan struct{})
+	var once sync.Once
+	restore := SetTestHook(func(site string, n *Node) {
+		if site == "prev.before-set" && n.IsData() && n.Key() == 5 {
+			once.Do(func() {
+				close(paused)
+				<-resume
+			})
+		}
+	})
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		l.InsertWithHeight(5, nil, nil, levels, nil)
+	}()
+	<-paused
+	if !l.Delete(5, nil, nil).Deleted {
+		t.Fatal("delete of the parked insert's key failed")
+	}
+	close(resume)
+	<-done
+	restore()
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrevCASAfterABA parks a top-level insert of 5 after it loaded the
+// tail's prev (the head) and before its CAS points that prev at 5.
+// Meanwhile 5 is deleted, and 7 is inserted and deleted at the top, so
+// the tail's prev goes head → 7 → head. The parked CAS compares
+// pointers, so it lands and installs the deleted 5; setPrev's re-check
+// must then find it stale and repair it.
+func TestPrevCASAfterABA(t *testing.T) {
+	const levels = 4
+	l := New[any](Config{Levels: levels, Seed: 1})
+	head, tail := l.heads[levels-1], l.tails[levels-1]
+	paused := make(chan struct{})
+	resume := make(chan struct{})
+	var once sync.Once
+	restore := SetTestHook(func(site string, n *Node) {
+		if site == "prev.before-cas" && n.IsData() && n.Key() == 5 {
+			once.Do(func() {
+				close(paused)
+				<-resume
+			})
+		}
+	})
+	t.Cleanup(restore)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		l.InsertWithHeight(5, nil, nil, levels, nil)
+	}()
+	<-paused
+	if tail.Prev() != head {
+		t.Fatal("tail prev at the park is not the head")
+	}
+	if !l.Delete(5, nil, nil).Deleted {
+		t.Fatal("delete of the parked insert's key failed")
+	}
+	if r := l.InsertWithHeight(7, nil, nil, levels, nil); r.Top == nil || tail.Prev() != r.Top {
+		t.Fatal("insert of 7 did not point the tail's prev at its top node")
+	}
+	if !l.Delete(7, nil, nil).Deleted {
+		t.Fatal("delete of 7 failed")
+	}
+	if tail.Prev() != head {
+		t.Fatal("tail prev after deleting 7 is not the head")
+	}
+	close(resume)
+	<-done
+	restore()
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -96,7 +96,7 @@ func (l *Topology) Validate() error {
 	for {
 		next, marked := n.Next()
 		if n.kind == kindTail {
-			if got := n.prev.Value(); got != prev {
+			if got := n.prev.Load(); got != prev {
 				return fmt.Errorf("tail.prev = %v, want key %v", nodeDesc(got), nodeDesc(prev))
 			}
 			break
@@ -105,7 +105,7 @@ func (l *Topology) Validate() error {
 			if !n.has(flagReady) {
 				return fmt.Errorf("top node %d not ready at quiescence", n.key)
 			}
-			if got := n.prev.Value(); got != prev {
+			if got := n.prev.Load(); got != prev {
 				return fmt.Errorf("top node %d: prev = %v, want %v", n.key, nodeDesc(got), nodeDesc(prev))
 			}
 			prev = n

@@ -11,11 +11,13 @@ package stats
 
 // Op accumulates the step count of a single structure operation, split by
 // component so experiments can attribute cost the way the paper's analysis
-// does (search in the trie vs. list traversal vs. retried CAS/DCSS).
+// does (search in the trie vs. list traversal vs. retried CAS).
 type Op struct {
-	Hops       uint64 // node-to-node pointer traversals (list cost)
-	CAS        uint64 // CAS attempts (successful or not)
-	DCSS       uint64 // DCSS attempts (successful or not)
+	Hops uint64 // node-to-node pointer traversals (list cost)
+	CAS  uint64 // CAS attempts (successful or not)
+	// DCSS is always 0: every update is a single-word CAS, counted in
+	// CAS. It stays for readers that report CAS+DCSS per update.
+	DCSS       uint64
 	HashProbes uint64 // prefixes hash-table operations
 	TrieLevels uint64 // trie levels crossed by an insert/delete walk
 	TrieTouch  bool   // operation modified the x-fast trie
@@ -32,13 +34,6 @@ func (o *Op) Hop() {
 func (o *Op) IncCAS() {
 	if o != nil {
 		o.CAS++
-	}
-}
-
-// IncDCSS records one DCSS attempt. Safe on a nil receiver.
-func (o *Op) IncDCSS() {
-	if o != nil {
-		o.DCSS++
 	}
 }
 
@@ -71,7 +66,7 @@ func (o *Op) Steps() uint64 {
 	if o == nil {
 		return 0
 	}
-	return o.Hops + o.CAS + o.DCSS + o.HashProbes
+	return o.Hops + o.CAS + o.HashProbes
 }
 
 // Add accumulates other into o. Safe on a nil receiver (no-op).
@@ -81,7 +76,6 @@ func (o *Op) Add(other Op) {
 	}
 	o.Hops += other.Hops
 	o.CAS += other.CAS
-	o.DCSS += other.DCSS
 	o.HashProbes += other.HashProbes
 	o.TrieLevels += other.TrieLevels
 	o.TrieTouch = o.TrieTouch || other.TrieTouch

@@ -1,29 +1,15 @@
 // Package testenv carries test-environment knobs shared by the torture,
 // churn and fuzz tests across packages. It lets one CI stage re-run the
-// whole concurrency suite in a degraded configuration without
-// duplicating the tests.
+// whole concurrency suite at a larger scale without duplicating the
+// tests.
 package testenv
 
 import "os"
 
-// NoDCSSEnv is the environment variable that switches the torture,
-// churn and fuzz tests into the CAS-fallback mode (every DCSS replaced
-// by a plain CAS — the degraded mode the paper proves remains
-// linearizable and lock-free). CI's DisableDCSS race stage sets it so
-// the same concurrency suite audits the fallback path for windows
-// analogous to the PR 2 stale-prefix races, which lived in exactly the
-// guard-dropping territory this mode exercises.
-const NoDCSSEnv = "SKIPTRIE_TEST_NODCSS"
-
-// DisableDCSS reports whether the torture tests should run in the
-// CAS-fallback mode.
-func DisableDCSS() bool { return os.Getenv(NoDCSSEnv) != "" }
-
 // SoakEnv is the environment variable that switches the torture, churn
 // and snapshot suites into soak mode: the nightly CI lane sets it to
 // run the same tests at an elevated iteration count (Scale), hunting
-// rare interleavings that a per-PR time budget cannot afford. It
-// composes with NoDCSSEnv — the soak workflow runs both modes.
+// rare interleavings that a per-PR time budget cannot afford.
 const SoakEnv = "SKIPTRIE_TEST_SOAK"
 
 // soakFactor is how much Scale multiplies iteration counts by in soak

@@ -59,7 +59,7 @@ func (r *rig) topInsert(k uint64) *skiplist.Node {
 // the empty trie's answer is "no proper prefix", which adds the ε probe.
 func TestStepsGallopBound(t *testing.T) {
 	for _, w := range []uint8{1, 2, 8, 16, 32, 64} {
-		r := newRig(w, false)
+		r := newRig(w)
 		bound := uint64(max(2*bits.Len8(w-1), 1))
 		worst := uint64(0)
 		check := func(q uint64, what string) {
@@ -94,38 +94,36 @@ func TestStepsGallopBound(t *testing.T) {
 // answer depths spread over the whole range, and some are deleted again
 // so that pointers have been swung.
 func TestStepsGallopMatchesBinarySearch(t *testing.T) {
-	const queries = 1 << 14 // per width: 2^16 per mode
-	for _, noDCSS := range []bool{false, true} {
-		for _, w := range []uint8{2, 8, 32, 64} {
-			r := newRig(w, noDCSS)
-			rng := rand.New(rand.NewSource(int64(w)))
-			mask := ^uint64(0) >> (64 - w)
-			var keys []uint64
-			for i := 0; i < 4096; i++ {
-				k := rng.Uint64() & mask
-				if i%4 == 0 {
-					k = uint64(i) & mask // dense run near 0
-				}
-				if r.insert(k) {
-					keys = append(keys, k)
-				}
+	const queries = 1 << 14 // per width
+	for _, w := range []uint8{2, 8, 32, 64} {
+		r := newRig(w)
+		rng := rand.New(rand.NewSource(int64(w)))
+		mask := ^uint64(0) >> (64 - w)
+		var keys []uint64
+		for i := 0; i < 4096; i++ {
+			k := rng.Uint64() & mask
+			if i%4 == 0 {
+				k = uint64(i) & mask // dense run near 0
 			}
-			for _, k := range keys[:len(keys)/3] {
-				r.delete(k)
+			if r.insert(k) {
+				keys = append(keys, k)
 			}
-			r.validate(t)
-			for i := 0; i < queries; i++ {
-				q := rng.Uint64() & mask
-				if i%2 == 0 {
-					q = keys[rng.Intn(len(keys))]
-				}
-				if w > 1 && i%4 == 0 {
-					r.trie.setStart(1 + rng.Intn(int(w)-1))
-				}
-				got := r.trie.LowestAncestor(q, nil)
-				if want := r.trie.binaryAncestor(q, nil); got != want {
-					t.Fatalf("noDCSS=%v W=%d: LowestAncestor(%x) = %v, binary search %v", noDCSS, w, q, got, want)
-				}
+		}
+		for _, k := range keys[:len(keys)/3] {
+			r.delete(k)
+		}
+		r.validate(t)
+		for i := 0; i < queries; i++ {
+			q := rng.Uint64() & mask
+			if i%2 == 0 {
+				q = keys[rng.Intn(len(keys))]
+			}
+			if w > 1 && i%4 == 0 {
+				r.trie.setStart(1 + rng.Intn(int(w)-1))
+			}
+			got := r.trie.LowestAncestor(q, nil)
+			if want := r.trie.binaryAncestor(q, nil); got != want {
+				t.Fatalf("W=%d: LowestAncestor(%x) = %v, binary search %v", w, q, got, want)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // Queries must recover through back pointers (Algorithm 4) and still return
 // correct answers, and the delete's eventual trie walk must fully clean up.
 func TestQueriesAcrossStaleTrie(t *testing.T) {
-	r := newRig(16, false)
+	r := newRig(16)
 
 	// Build a population dense enough that several keys reach the top.
 	for k := uint64(0); k < 4000; k++ {
@@ -73,7 +73,7 @@ func TestQueriesAcrossStaleTrie(t *testing.T) {
 // TestConcurrentStaleTrieChurn runs many delete pairs with the trie walk
 // delayed to widen the stale window while readers hammer queries.
 func TestConcurrentStaleTrieChurn(t *testing.T) {
-	r := newRig(16, false)
+	r := newRig(16)
 	const stableStride = 64
 	// Stable anchors every stride; churn keys in between.
 	for k := uint64(0); k < 4096; k += stableStride {
@@ -129,7 +129,7 @@ func TestConcurrentStaleTrieChurn(t *testing.T) {
 // node; the second walk must be a no-op (helping semantics), leaving the
 // trie valid.
 func TestDeleteWalkIdempotent(t *testing.T) {
-	r := newRig(16, false)
+	r := newRig(16)
 	for k := uint64(0); k < 2000; k++ {
 		r.insert(k)
 	}
@@ -156,46 +156,44 @@ func TestDeleteWalkIdempotent(t *testing.T) {
 // it must not take X as its representative, or the late null leaves N
 // unrepresented at quiescence.
 func TestInsertWalkHelpsMarkedPointer(t *testing.T) {
-	for _, noDCSS := range []bool{false, true} {
-		r := newRig(16, noDCSS)
-		// topInsert inserts keys from k downwards until one reaches the
-		// top level, removing the others, and returns it without a trie
-		// walk.
-		topInsert := func(k uint64) *skiplist.Node {
-			for ; ; k-- {
-				res := r.list.Insert(k, struct{}{}, nil, nil)
-				if res.Top != nil {
-					return res.Top
-				}
-				r.list.Delete(k, nil, nil)
+	r := newRig(16)
+	// topInsert inserts keys from k downwards until one reaches the
+	// top level, removing the others, and returns it without a trie
+	// walk.
+	topInsert := func(k uint64) *skiplist.Node {
+		for ; ; k-- {
+			res := r.list.Insert(k, struct{}{}, nil, nil)
+			if res.Top != nil {
+				return res.Top
 			}
+			r.list.Delete(k, nil, nil)
 		}
-		x := topInsert(0x7000)
-		r.trie.InsertWalk(x, nil)
-		r.validate(t)
-
-		if del := r.list.Delete(x.Key(), nil, nil); del.Top != x {
-			t.Fatalf("noDCSS=%v: delete of %d did not report its top-level node", noDCSS, x.Key())
-		}
-		// X's DeleteWalk at the root prefix, up to its swing.
-		tn := r.trie.lookup(uintbits.Prefix{}, nil)
-		if tn == nil {
-			t.Fatalf("noDCSS=%v: root prefix missing", noDCSS)
-		}
-		pair, w := tn.pointers.Load()
-		if pair.Zero != x {
-			t.Fatalf("noDCSS=%v: root 0-pointer = %v, want X", noDCSS, pair.Zero)
-		}
-		if br := r.list.SearchTop(x.Key(), nil, nil); br.Left.IsData() {
-			t.Fatalf("noDCSS=%v: search left of X found key %d, want the head", noDCSS, br.Left.Key())
-		}
-
-		n := topInsert(0x6000)
-		r.trie.InsertWalk(n, nil)
-
-		// X's swing lands late, then its walk finishes.
-		r.trie.swing(tn, w, pair.With(0, nil), nil, 0, nil)
-		r.trie.DeleteWalk(x.Key(), x, nil, nil)
-		r.validate(t)
 	}
+	x := topInsert(0x7000)
+	r.trie.InsertWalk(x, nil)
+	r.validate(t)
+
+	if del := r.list.Delete(x.Key(), nil, nil); del.Top != x {
+		t.Fatalf("delete of %d did not report its top-level node", x.Key())
+	}
+	// X's DeleteWalk at the root prefix, up to its swing.
+	tn := r.trie.lookup(uintbits.Prefix{}, nil)
+	if tn == nil {
+		t.Fatal("root prefix missing")
+	}
+	pair := tn.pointers.Load()
+	if pair.Zero != x {
+		t.Fatalf("root 0-pointer = %v, want X", pair.Zero)
+	}
+	if br := r.list.SearchTop(x.Key(), nil, nil); br.Left.IsData() {
+		t.Fatalf("search left of X found key %d, want the head", br.Left.Key())
+	}
+
+	n := topInsert(0x6000)
+	r.trie.InsertWalk(n, nil)
+
+	// X's swing lands late, then its walk finishes.
+	r.trie.swing(tn, pair, pair.With(0, nil), nil, 0, nil)
+	r.trie.DeleteWalk(x.Key(), x, nil, nil)
+	r.validate(t)
 }

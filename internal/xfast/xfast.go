@@ -12,10 +12,13 @@
 // nodes, a query whose lower subtree is concurrently emptied would be
 // left stranded with no pointer into the list (Section 4, opening).
 //
-// The two pointers live in a single atomic value (the paper's "double-wide"
-// field), so the (null, null) tombstone test of Algorithms 6/7 is atomic,
-// and a tombstoned trie node can never be revived: every pointer swing is
-// witnessed against a non-tombstone pair.
+// The two pointers live in one immutable Pair behind an atomic pointer (the
+// paper's "double-wide" field), so the (null, null) tombstone test of
+// Algorithms 6/7 is atomic. Every swing installs a fresh Pair by a CAS
+// against the Pair it loaded, so a CAS witnessed against an older pair
+// fails even if the pointers read the same again, and a tombstoned trie
+// node can never be revived: every pointer swing is witnessed against a
+// non-tombstone pair.
 //
 // Queries follow the paper's Algorithm 3 except in the order of the
 // probes. Where the paper binary-searches every prefix length,
@@ -25,23 +28,27 @@
 // finds the same lowest ancestor in about 3.5 probes instead of
 // ⌈log2 W⌉+1, and never in more than 2⌈log2 W⌉ (one at W = 1).
 //
-// Writes follow the paper exactly:
+// Writes follow the paper's algorithms:
 //   - insert walks prefixes longest-first (Algorithm 6), creating missing
 //     nodes, helping delete tombstoned ones and marked pointers, and
-//     swinging pointers outward via DCSS conditioned on the new target
-//     remaining unmarked;
+//     swinging pointers outward to the new node;
 //   - delete walks prefixes shortest-first (Algorithm 7), swinging
 //     pointers off the deleted node onto its still-adjacent unmarked
 //     neighbours (found by listSearch), nulling pointers whose subtree
 //     emptied, and removing (null, null) nodes from the hash table with
 //     compareAndDelete.
+//
+// The paper swings a pointer by DCSS, conditioned on the new target
+// remaining unmarked. Here every swing is a plain CAS, and a target found
+// marked once the swing has landed is disconnected again (swing); the
+// paper proves the trie linearizable and lock-free when DCSS degrades to
+// CAS, and the repair covers what the guard would have refused.
 package xfast
 
 import (
 	"fmt"
 	"sync/atomic"
 
-	"skiptrie/internal/dcss"
 	"skiptrie/internal/skiplist"
 	"skiptrie/internal/splitorder"
 	"skiptrie/internal/stats"
@@ -82,9 +89,10 @@ func (p Pair) IsTombstone() bool { return p.Zero == nil && p.One == nil }
 // treeNode is one trie node; its only mutable state is the pointer pair,
 // exactly as in the paper ("a tree node n has a single field, n.pointers").
 // It lives in place in its hash-table entry, so its address is the entry's
-// identity.
+// identity. pointers is set before the entry is published and never nil
+// afterwards; the Pair it points at is never written.
 type treeNode struct {
-	pointers dcss.Atom[Pair]
+	pointers atomic.Pointer[Pair]
 }
 
 // startStripes is the number of start depths LowestAncestor keeps, one
@@ -113,7 +121,6 @@ type Trie struct {
 	width    uint8 // W = log u
 	list     *skiplist.Topology
 	prefixes *splitorder.Map[treeNode]
-	useDCSS  bool
 }
 
 // Config configures a Trie.
@@ -124,10 +131,6 @@ type Config struct {
 	// trie indexes (List[V].Topo()); the trie itself is value-agnostic and
 	// compiles once for every List[V] instantiation.
 	List *skiplist.Topology
-	// DisableDCSS makes pointer swings plain CASes, dropping the guard
-	// that the new target is unmarked (see swing), the fallback the
-	// paper proves remains linearizable.
-	DisableDCSS bool
 }
 
 // New returns an empty trie.
@@ -143,7 +146,6 @@ func New(cfg Config) *Trie {
 		width:    w,
 		list:     cfg.List,
 		prefixes: splitorder.New[treeNode](),
-		useDCSS:  !cfg.DisableDCSS,
 	}
 	for i := range t.start {
 		t.start[i].depth.Store(uint32(max(w/2, 1)))
@@ -286,7 +288,7 @@ func (s *ancestorSearch) probe(l uint8, c *stats.Op) bool {
 	// successor) — tracking the closest of all of them is the paper's
 	// "best pointer seen so far" and is what bounds the list cost after
 	// the search.
-	pair := tn.pointers.Value()
+	pair := tn.pointers.Load()
 	for b := uint8(0); b <= 1; b++ {
 		cand := pair.Get(b)
 		if cand == nil || !cand.IsData() {
@@ -322,7 +324,7 @@ func (s *ancestorSearch) result() *skiplist.Node {
 	if s.deepest != nil {
 		w := s.t.width
 		sib := 1 - uintbits.Bit(s.key, s.depth, w)
-		pair := s.deepest.pointers.Value()
+		pair := s.deepest.pointers.Load()
 		if cand := pair.Get(sib); cand != nil && cand.IsData() &&
 			uintbits.PrefixOf(s.key, s.depth, w).Child(sib).IsPrefixOfKey(cand.Key(), w) {
 			return cand
@@ -378,7 +380,8 @@ func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 				// Create the trie level for this prefix.
 				c.Probe()
 				if t.prefixes.Insert(p.Encode(), func(tn *treeNode) {
-					tn.pointers.Store(Pair{}.With(d, node))
+					pair := Pair{}.With(d, node)
+					tn.pointers.Store(&pair)
 				}) {
 					// Re-check the mark now that the level is visible: a
 					// deleter that marked node between the loop's check
@@ -394,7 +397,7 @@ func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 				}
 				continue // lost the race; retry the level
 			}
-			pair, w := tn.pointers.Load()
+			pair := tn.pointers.Load()
 			if pair.IsTombstone() {
 				// Slated for deletion: help remove it, then retry.
 				c.Probe()
@@ -420,30 +423,25 @@ func (t *Trie) InsertWalk(node *skiplist.Node, c *stats.Op) {
 			}
 			// Swing the pointer outward to node, conditioned on node
 			// remaining unmarked (paper line 19).
-			if t.swing(tn, w, pair.With(d, node), node, l, c) {
+			if t.swing(tn, pair, pair.With(d, node), node, l, c) {
 				break
 			}
 		}
 	}
 }
 
-// swing replaces tn's witnessed pair by newPair, whose changed pointer
-// targets target (nil to null it), at trie level l. A DCSS conditions a
-// non-nil target on its remaining unmarked (paper, Algorithms 6/7); the
-// plain CAS of the DisableDCSS fallback drops that guard. Either way a
-// target found marked once the swing has landed is disconnected from the
-// level again: its own DeleteWalk may have passed the level before the
-// swing landed, and then nothing else would move the pointer off it.
-func (t *Trie) swing(tn *treeNode, w dcss.Witness[Pair], newPair Pair,
+// swing replaces tn's pair old by newPair, whose changed pointer targets
+// target (nil to null it), at trie level l: a CAS against old installs a
+// fresh Pair, so a swing witnessed against an older pair fails even when
+// the pointers read the same again. A target found marked once the swing
+// has landed is disconnected from the level again: its own DeleteWalk may
+// have passed the level before the swing landed, and then nothing else
+// would move the pointer off it. This repair covers what the paper's DCSS
+// guard, that the target is still unmarked, would have refused.
+func (t *Trie) swing(tn *treeNode, old *Pair, newPair Pair,
 	target *skiplist.Node, l int, c *stats.Op) bool {
-	var ok bool
-	if t.useDCSS && target != nil {
-		c.IncDCSS()
-		_, ok = tn.pointers.DCSS(w, newPair, func() bool { return !target.Marked() })
-	} else {
-		c.IncCAS()
-		_, ok = tn.pointers.CompareAndSwap(w, newPair)
-	}
+	c.IncCAS()
+	ok := tn.pointers.CompareAndSwap(old, &newPair)
 	if ok && target != nil && target.Marked() {
 		t.deleteLevel(target.Key(), target, target, l, c)
 	}
@@ -477,7 +475,7 @@ func (t *Trie) deleteLevel(key uint64, node *skiplist.Node, left *skiplist.Node,
 	if tn == nil {
 		return left
 	}
-	pair, w := tn.pointers.Load()
+	pair := tn.pointers.Load()
 	for pair.Get(d) == node {
 		br := t.list.SearchTop(key, left, c)
 		left = br.Left
@@ -502,8 +500,8 @@ func (t *Trie) deleteLevel(key uint64, node *skiplist.Node, left *skiplist.Node,
 			t.list.FixPrev(br.Left, br.Right, c)
 			next = br.Right
 		}
-		t.swing(tn, w, pair.With(d, next), next, l, c)
-		pair, w = tn.pointers.Load()
+		t.swing(tn, pair, pair.With(d, next), next, l, c)
+		pair = tn.pointers.Load()
 	}
 	// Even if another operation moved the pointer first, help null a
 	// pointer that escaped its subtree (paper line 19-20 applies to the
@@ -511,12 +509,8 @@ func (t *Trie) deleteLevel(key uint64, node *skiplist.Node, left *skiplist.Node,
 	if cur := pair.Get(d); cur != nil {
 		stale := !cur.IsData() || !p.Child(d).IsPrefixOfKey(cur.Key(), t.width)
 		if stale {
-			c.IncCAS()
-			if nw, ok := tn.pointers.CompareAndSwap(w, pair.With(d, nil)); ok {
-				pair, w = pair.With(d, nil), nw
-			} else {
-				pair, w = tn.pointers.Load()
-			}
+			t.swing(tn, pair, pair.With(d, nil), nil, l, c)
+			pair = tn.pointers.Load()
 		}
 	}
 	if pair.IsTombstone() {
@@ -574,7 +568,7 @@ func (t *Trie) Validate() error {
 	t.prefixes.Range(func(enc uint64, tn *treeNode) bool {
 		b, ok := want[enc]
 		if !ok {
-			pair := tn.pointers.Value()
+			pair := tn.pointers.Load()
 			desc := func(n *skiplist.Node) string {
 				if n == nil {
 					return "nil"
@@ -586,7 +580,7 @@ func (t *Trie) Validate() error {
 			return false
 		}
 		seen++
-		pair := tn.pointers.Value()
+		pair := tn.pointers.Load()
 		if b.has0 != (pair.Zero != nil) {
 			err = fmt.Errorf("prefix %x: 0-pointer presence = %v, want %v", enc, pair.Zero != nil, b.has0)
 			return false

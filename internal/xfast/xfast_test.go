@@ -18,16 +18,12 @@ type rig struct {
 	trie  *Trie
 }
 
-func newRig(width uint8, disableDCSS bool) *rig {
-	l := skiplist.New[struct{}](skiplist.Config{
-		Levels:      uintbits.Levels(width),
-		DisableDCSS: disableDCSS,
-		Seed:        7,
-	})
+func newRig(width uint8) *rig {
+	l := skiplist.New[struct{}](skiplist.Config{Levels: uintbits.Levels(width), Seed: 7})
 	return &rig{
 		width: width,
 		list:  l,
-		trie:  New(Config{Width: width, List: l.Topo(), DisableDCSS: disableDCSS}),
+		trie:  New(Config{Width: width, List: l.Topo()}),
 	}
 }
 
@@ -82,7 +78,7 @@ func (r *rig) validate(t *testing.T) {
 }
 
 func TestEmptyTrie(t *testing.T) {
-	r := newRig(16, false)
+	r := newRig(16)
 	if n := r.trie.LowestAncestor(100, nil); !n.IsHead() {
 		t.Fatalf("LowestAncestor on empty trie = %v", n.Key())
 	}
@@ -96,7 +92,7 @@ func TestEmptyTrie(t *testing.T) {
 }
 
 func TestInsertValidate(t *testing.T) {
-	r := newRig(16, false)
+	r := newRig(16)
 	keys := []uint64{0, 1, 1 << 15, 1<<16 - 1, 12345, 4096, 4097}
 	for _, k := range keys {
 		if !r.insert(k) {
@@ -114,7 +110,7 @@ func TestInsertValidate(t *testing.T) {
 func TestPredecessorExhaustiveSmallUniverse(t *testing.T) {
 	// Width 8: the whole universe is 256 keys; check every query against a
 	// brute-force model, through several insert/delete waves.
-	r := newRig(8, false)
+	r := newRig(8)
 	model := map[uint64]bool{}
 	rng := rand.New(rand.NewSource(21))
 	check := func() {
@@ -159,7 +155,7 @@ func TestPredecessorExhaustiveSmallUniverse(t *testing.T) {
 }
 
 func TestDeleteEmptiesTrie(t *testing.T) {
-	r := newRig(16, false)
+	r := newRig(16)
 	for k := uint64(0); k < 3000; k++ {
 		r.insert(k * 21)
 	}
@@ -175,7 +171,7 @@ func TestDeleteEmptiesTrie(t *testing.T) {
 }
 
 func TestLowestAncestorFindsClosest(t *testing.T) {
-	r := newRig(16, false)
+	r := newRig(16)
 	// Insert enough keys that some reach the top level.
 	var tops []uint64
 	for k := uint64(0); k < 20000; k += 7 {
@@ -211,7 +207,7 @@ func TestLowestAncestorFindsClosest(t *testing.T) {
 }
 
 func TestStrictPred(t *testing.T) {
-	r := newRig(8, false)
+	r := newRig(8)
 	// Force keys into the trie by inserting many; then query strictly.
 	for k := uint64(0); k < 256; k++ {
 		r.insert(k)
@@ -230,7 +226,7 @@ func TestStrictPred(t *testing.T) {
 }
 
 func TestWidthOneUniverse(t *testing.T) {
-	r := newRig(1, false)
+	r := newRig(1)
 	if !r.insert(0) || !r.insert(1) {
 		t.Fatal("inserts failed")
 	}
@@ -247,7 +243,7 @@ func TestWidthOneUniverse(t *testing.T) {
 }
 
 func TestWidth64Universe(t *testing.T) {
-	r := newRig(64, false)
+	r := newRig(64)
 	keys := []uint64{0, 1, ^uint64(0), 1 << 63, 1<<63 - 1, 0xDEADBEEF, 0xCAFEBABE00000000}
 	for _, k := range keys {
 		if !r.insert(k) {
@@ -277,8 +273,8 @@ func TestWidth64Universe(t *testing.T) {
 	r.validate(t)
 }
 
-func TestDisableDCSSTrie(t *testing.T) {
-	r := newRig(16, true)
+func TestDeleteAlternateKeysTrie(t *testing.T) {
+	r := newRig(16)
 	for k := uint64(0); k < 4000; k++ {
 		r.insert(k * 3)
 	}
@@ -298,7 +294,7 @@ func TestDisableDCSSTrie(t *testing.T) {
 func TestTombstoneHelping(t *testing.T) {
 	// Create one top-level key, delete it, and verify a racing insert of a
 	// key sharing prefixes converges to a valid trie.
-	r := newRig(16, false)
+	r := newRig(16)
 	for i := 0; i < 40; i++ {
 		// Repeat to exercise different tower-height draws.
 		for k := uint64(0); k < 400; k++ {
@@ -315,7 +311,7 @@ func TestTombstoneHelping(t *testing.T) {
 }
 
 func TestConcurrentDisjointTrie(t *testing.T) {
-	r := newRig(32, false)
+	r := newRig(32)
 	const workers = 8
 	const perG = 800
 	var wg sync.WaitGroup
@@ -353,7 +349,7 @@ func TestConcurrentDisjointTrie(t *testing.T) {
 }
 
 func TestConcurrentSameRangeChurn(t *testing.T) {
-	r := newRig(16, false)
+	r := newRig(16)
 	const workers = 6
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -376,7 +372,7 @@ func TestConcurrentSameRangeChurn(t *testing.T) {
 }
 
 func TestConcurrentQueriesDuringChurn(t *testing.T) {
-	r := newRig(24, false)
+	r := newRig(24)
 	// Stable keys at even multiples of 1000, churn elsewhere.
 	const stable = 200
 	for k := uint64(0); k < stable; k++ {

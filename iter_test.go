@@ -174,7 +174,7 @@ func TestSeqAdapters(t *testing.T) {
 // ascending and descending scans recording key/value pairs; every scan
 // window is then validated against the recorded history (strict order,
 // plausible liveness, stable-key completeness, value plausibility).
-// Run under -race in CI, in both DCSS and CAS-fallback modes.
+// Run under -race in CI.
 func TestIterBoundaryChurnScanWindows(t *testing.T) {
 	const (
 		w       = 16
@@ -186,7 +186,7 @@ func TestIterBoundaryChurnScanWindows(t *testing.T) {
 	// churn without duplicating the test.
 	iters := testenv.Scale(400)
 	scans := testenv.Scale(25)
-	s := MustNewSharded[uint64](tortureShardedOpts(WithWidth(w), WithShards(shards), WithSeed(13))...)
+	s := MustNewSharded[uint64](WithWidth(w), WithShards(shards), WithSeed(13))
 	step := uint64(1) << (w - uint(log2(shards)))
 	var boundary []uint64
 	for k := uint64(1); k < shards; k++ {

@@ -108,7 +108,7 @@ func TestMapValueTypes(t *testing.T) {
 }
 
 func TestMapConcurrent(t *testing.T) {
-	m := MustNewMap[uint64](tortureMapOpts(WithWidth(32))...)
+	m := MustNewMap[uint64](WithWidth(32))
 	var wg sync.WaitGroup
 	const workers = 8
 	const perG = 800
@@ -141,7 +141,7 @@ func TestMapConcurrent(t *testing.T) {
 }
 
 func TestMapConcurrentLoadOrStore(t *testing.T) {
-	m := MustNewMap[int](tortureMapOpts(WithWidth(16))...)
+	m := MustNewMap[int](WithWidth(16))
 	const workers = 8
 	var wg sync.WaitGroup
 	winners := make([]int, workers)

@@ -139,7 +139,7 @@ func TestMapConcurrentStoreDeleteLoadOrStore(t *testing.T) {
 	mk := func(x uint64) wide { return wide{x, x ^ 0xABCD, x * 3, x + 7} }
 	valid := func(w wide) bool { return w == mk(w[0]) }
 
-	m := MustNewMap[wide](tortureMapOpts(WithWidth(16))...)
+	m := MustNewMap[wide](WithWidth(16))
 	const (
 		workers = 8
 		keys    = 16

@@ -114,10 +114,9 @@ type metricStripe struct {
 	steps   [numOpKinds]atomic.Uint64
 	hops    atomic.Uint64
 	cas     atomic.Uint64
-	dcss    atomic.Uint64
 	probes  atomic.Uint64
 	touches atomic.Uint64
-	_       [40]byte // keep stripes on separate cache lines
+	_       [48]byte // keep stripes on separate cache lines
 }
 
 // op returns a fresh step counter when the collector is non-nil, so
@@ -149,7 +148,6 @@ func (m *Metrics) recordN(kind OpKind, n uint64, op *stats.Op) {
 	s.steps[kind].Add(op.Steps())
 	s.hops.Add(op.Hops)
 	s.cas.Add(op.CAS)
-	s.dcss.Add(op.DCSS)
 	s.probes.Add(op.HashProbes)
 	if op.TrieTouch {
 		s.touches.Add(1)
@@ -419,7 +417,7 @@ type MetricsSnapshot struct {
 	Steps   [numOpKinds]uint64 // total steps by kind
 	Hops    uint64             // pointer traversals
 	CAS     uint64             // CAS attempts
-	DCSS    uint64             // DCSS attempts
+	DCSS    uint64             // always 0: every update is a CAS, counted in CAS
 	Probes  uint64             // hash-table operations
 	Touches uint64             // operations that modified the x-fast trie
 	Reshard ReshardSnapshot    // resharding activity (Sharded only)
@@ -469,7 +467,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		}
 		out.Hops += s.hops.Load()
 		out.CAS += s.cas.Load()
-		out.DCSS += s.dcss.Load()
 		out.Probes += s.probes.Load()
 		out.Touches += s.touches.Load()
 	}
@@ -633,7 +630,6 @@ func (sn MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 	}
 	out.Hops -= prev.Hops
 	out.CAS -= prev.CAS
-	out.DCSS -= prev.DCSS
 	out.Probes -= prev.Probes
 	out.Touches -= prev.Touches
 	out.Reshard.Splits -= prev.Reshard.Splits
@@ -672,8 +668,8 @@ func (sn MetricsSnapshot) String() string {
 	if sn.TotalOps() == 0 {
 		fmt.Fprintf(&b, " none")
 	}
-	fmt.Fprintf(&b, "\nsteps: hops %d cas %d dcss %d probes %d touches %d (rate %.4f)",
-		sn.Hops, sn.CAS, sn.DCSS, sn.Probes, sn.Touches, sn.TouchRate())
+	fmt.Fprintf(&b, "\nsteps: hops %d cas %d probes %d touches %d (rate %.4f)",
+		sn.Hops, sn.CAS, sn.Probes, sn.Touches, sn.TouchRate())
 	for k := OpKind(0); k < numOpKinds; k++ {
 		h := sn.Latency[k]
 		if h.Count == 0 {

@@ -78,13 +78,12 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	for k := OpKind(0); k < numOpKinds; k++ {
 		p.printf("skiptrie_ops_total{kind=%q} %d\n", k.String(), sn.Ops[k])
 	}
-	p.header("skiptrie_steps_total", "Total structure steps (hops+CAS+DCSS+probes), by kind.", "counter")
+	p.header("skiptrie_steps_total", "Total structure steps (hops+CAS+probes), by kind.", "counter")
 	for k := OpKind(0); k < numOpKinds; k++ {
 		p.printf("skiptrie_steps_total{kind=%q} %d\n", k.String(), sn.Steps[k])
 	}
 	p.counter("skiptrie_hops_total", "Pointer traversals.", sn.Hops)
 	p.counter("skiptrie_cas_total", "CAS attempts.", sn.CAS)
-	p.counter("skiptrie_dcss_total", "DCSS attempts.", sn.DCSS)
 	p.counter("skiptrie_hash_probes_total", "X-fast trie hash-table operations.", sn.Probes)
 	p.counter("skiptrie_trie_touches_total", "Operations that modified the x-fast trie.", sn.Touches)
 

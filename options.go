@@ -17,8 +17,8 @@ import (
 // configures — and turns the former silent value clamps into
 // construction errors.
 //
-//   - Option: applicable everywhere (width, seed, metrics, DCSS mode,
-//     repair mode). Satisfies all three per-constructor interfaces.
+//   - Option: applicable everywhere (width, seed, metrics, repair mode,
+//     latency sampling, trace hooks). Satisfies all three per-constructor interfaces.
 //   - ShardedOption: applicable only to NewSharded (shard counts, the
 //     auto-reshard balancer). Passing one to New or NewMap is now a
 //     compile error instead of a silent no-op.
@@ -39,7 +39,6 @@ type options struct {
 	maxShards    int
 	autoReshard  bool
 	reshardEvery time.Duration
-	disableDCSS  bool
 	repair       skiplist.RepairMode
 	seed         uint64
 	metrics      *Metrics
@@ -120,16 +119,6 @@ func WithWidth(w int) Option {
 	})
 }
 
-// WithoutDCSS replaces each DCSS with a plain CAS (dropping the second
-// guard). Two sites use DCSS: top-level prev-pointer updates and x-fast
-// trie pointer swings; skiplist links are plain CASes in both modes. The
-// paper proves the structure remains linearizable and lock-free in this
-// mode; only the amortized step bound degrades. Exposed for the T7
-// ablation experiment.
-func WithoutDCSS() Option {
-	return option(func(o *options) { o.disableDCSS = true })
-}
-
 // WithEagerPrevRepair selects the paper's option (1) for maintaining
 // top-level prev pointers: inserts help their successors complete before
 // finishing, trading extra write contention for point-contention bounds.
@@ -154,7 +143,7 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithMetrics attaches a Metrics collector that aggregates per-operation
-// step counts (pointer hops, CAS/DCSS attempts, hash probes). The overhead
+// step counts (pointer hops, CAS attempts, hash probes). The overhead
 // is one short striped-counter update per operation.
 func WithMetrics(m *Metrics) Option {
 	return option(func(o *options) { o.metrics = m })

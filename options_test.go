@@ -43,7 +43,7 @@ func TestOptionFirstErrorWins(t *testing.T) {
 // three constructors and takes effect.
 func TestSharedOptionsApplyEverywhere(t *testing.T) {
 	var mx Metrics
-	st, err := New(WithWidth(20), WithSeed(3), WithMetrics(&mx), WithoutDCSS(), WithEagerPrevRepair())
+	st, err := New(WithWidth(20), WithSeed(3), WithMetrics(&mx), WithEagerPrevRepair())
 	if err != nil || st.Width() != 20 {
 		t.Fatalf("New: %v width=%d", err, st.Width())
 	}

@@ -126,7 +126,7 @@ func TestShardedAutoReshard(t *testing.T) {
 // Merge continuously. Every scan window must pass the linearize scan
 // checker — strict order, plausible liveness, stable-key completeness,
 // and value plausibility — against the full recorded history. Run
-// under -race in CI in both DCSS and CAS-fallback modes.
+// under -race in CI.
 func TestReshardTortureScanWindows(t *testing.T) {
 	const (
 		w       = 16
@@ -135,7 +135,7 @@ func TestReshardTortureScanWindows(t *testing.T) {
 	)
 	iters := testenv.Scale(500)
 	scans := testenv.Scale(20)
-	s := MustNewSharded[uint64](tortureShardedOpts(WithWidth(w), WithShards(4), WithMaxShards(32), WithSeed(29))...)
+	s := MustNewSharded[uint64](WithWidth(w), WithShards(4), WithMaxShards(32), WithSeed(29))
 	// Hot keys at every boundary the partition can have at MaxShards=32,
 	// plus two stable anchors for the completeness rule.
 	step := uint64(1) << (w - 5)
@@ -251,8 +251,7 @@ func TestReshardTortureScanWindows(t *testing.T) {
 // and feeds each full history to the exponential linearizability
 // checker. This is the strongest point-op check the suite has: any
 // write lost, resurrected, or observed out of order by a migration
-// shows up as a non-linearizable history. Run under -race in CI in
-// both DCSS and CAS-fallback modes.
+// shows up as a non-linearizable history. Run under -race in CI.
 func TestReshardSmallHistoriesLinearizable(t *testing.T) {
 	const (
 		w       = 10
@@ -262,8 +261,8 @@ func TestReshardSmallHistoriesLinearizable(t *testing.T) {
 	rounds := testenv.Scale(30)
 	keys := []uint64{0x0FF, 0x100, 0x2FF, 0x300} // straddle splittable boundaries
 	for r := 0; r < rounds; r++ {
-		s := MustNewSharded[uint64](tortureShardedOpts(WithWidth(w), WithShards(2), WithMaxShards(8),
-			WithSeed(uint64(r)))...)
+		s := MustNewSharded[uint64](WithWidth(w), WithShards(2), WithMaxShards(8),
+			WithSeed(uint64(r)))
 		var rec linearize.Recorder
 		var wg sync.WaitGroup
 		for g := 0; g < workers; g++ {

@@ -118,7 +118,7 @@ func TestShardedTortureBoundaryChurn(t *testing.T) {
 		readers = 3
 		iters   = 2000
 	)
-	s := MustNewSharded[uint64](tortureShardedOpts(WithWidth(w), WithShards(shards), WithSeed(13))...)
+	s := MustNewSharded[uint64](WithWidth(w), WithShards(shards), WithSeed(13))
 	step := uint64(1) << (w - uint(log2(shards)))
 	valid := map[uint64]bool{}
 	var boundary []uint64

@@ -266,7 +266,7 @@ func TestOpKindString(t *testing.T) {
 }
 
 func TestConcurrentPublicAPI(t *testing.T) {
-	st := MustNew(tortureSetOpts(WithWidth(32), WithSeed(7))...)
+	st := MustNew(WithWidth(32), WithSeed(7))
 	var wg sync.WaitGroup
 	const workers = 8
 	const perG = 1000
@@ -307,8 +307,8 @@ func TestEagerOptionWorks(t *testing.T) {
 	}
 }
 
-func TestWithoutDCSSOptionWorks(t *testing.T) {
-	st := MustNew(WithWidth(16), WithoutDCSS())
+func TestInsertDeleteValidate(t *testing.T) {
+	st := MustNew(WithWidth(16))
 	for k := uint64(0); k < 2000; k++ {
 		st.Insert(k)
 		if k%3 == 0 {

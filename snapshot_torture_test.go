@@ -22,8 +22,7 @@ import (
 // and drain mean any implementation that reads live state instead of
 // the pinned epoch fails the post-pin rules almost immediately.
 //
-// Run under -race in CI in both DCSS and CAS-fallback modes; the
-// nightly soak lane scales the iteration counts via SKIPTRIE_TEST_SOAK.
+// Run under -race in CI; the nightly soak lane scales the iteration counts via SKIPTRIE_TEST_SOAK.
 func TestSnapshotTortureStrictCompleteness(t *testing.T) {
 	const (
 		w       = 16
@@ -33,7 +32,7 @@ func TestSnapshotTortureStrictCompleteness(t *testing.T) {
 	)
 	iters := testenv.Scale(400)
 	snaps := testenv.Scale(20)
-	s := MustNewSharded[uint64](tortureShardedOpts(WithWidth(w), WithShards(shards), WithMaxShards(64), WithSeed(31))...)
+	s := MustNewSharded[uint64](WithWidth(w), WithShards(shards), WithMaxShards(64), WithSeed(31))
 	defer s.Close()
 
 	// Churn keys at the boundaries every reachable partition can have,
@@ -174,7 +173,7 @@ func TestSnapshotTortureMap(t *testing.T) {
 	)
 	iters := testenv.Scale(400)
 	snaps := testenv.Scale(20)
-	m := MustNewMap[uint64](tortureMapOpts(WithWidth(w), WithSeed(17))...)
+	m := MustNewMap[uint64](WithWidth(w), WithSeed(17))
 	keys := []uint64{3, 5, 1 << 7, 1<<7 + 1, 1 << 13, 1<<14 - 2}
 	var rec linearize.Recorder
 	var wg sync.WaitGroup
