@@ -264,9 +264,100 @@ func TestReleaseRacingHistoryPush(t *testing.T) {
 	}
 }
 
+// TestReleaseSweepRacingPinnedOverwrite parks the sweep of the last
+// pin's release once it has taken the history records, then pins again
+// and overwrites the key. The sweep must judge the record against the
+// new pin, which still selects the value the overwrite superseded.
+func TestReleaseSweepRacingPinnedOverwrite(t *testing.T) {
+	l := New[int](Config{Levels: 4, Seed: 1})
+	n := l.InsertWithHeight(1, 1, nil, 1, nil).Root
+	p0 := l.PinEpoch()
+	l.SetValue(n, 2)
+	_, stamp := l.ValueStampAt(n, noPin)
+	var once sync.Once
+	paused := make(chan struct{})
+	resume := make(chan struct{})
+	restore := SetTestHook(func(site string, _ *Node) {
+		if site == "history.after-swap" {
+			once.Do(func() {
+				close(paused)
+				<-resume
+			})
+		}
+	})
+	t.Cleanup(restore)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		l.ReleaseEpoch(p0)
+	}()
+	<-paused
+	p1 := l.PinEpoch()
+	l.SetValue(n, 3)
+	close(resume)
+	<-done
+	restore()
+	if v, from := l.ValueStampAt(n, p1); v != 2 || from != stamp {
+		t.Fatalf("read pinned at %d = %d stamped %d, want 2 stamped %d", p1, v, from, stamp)
+	}
+	l.ReleaseEpoch(p1)
+	if dataOf[int](n).hist != nil {
+		t.Fatal("a history record outlived the release of the last pin")
+	}
+}
+
+// TestOverlappingReleasesDropHistories parks the sweep of a release that
+// leaves one pin live just before it puts a record back, and releases
+// the last pin meanwhile. That release must wait out the parked sweep
+// and then drop the record it put back.
+func TestOverlappingReleasesDropHistories(t *testing.T) {
+	l := New[int](Config{Levels: 4, Seed: 1})
+	n := l.InsertWithHeight(1, 1, nil, 1, nil).Root
+	pa := l.PinEpoch()
+	l.SetValue(n, 2)
+	pb := l.PinEpoch()
+	l.SetValue(n, 3)
+	var once sync.Once
+	paused := make(chan struct{})
+	resume := make(chan struct{})
+	restore := SetTestHook(func(site string, _ *Node) {
+		if site == "history.before-push" {
+			once.Do(func() {
+				close(paused)
+				<-resume
+			})
+		}
+	})
+	t.Cleanup(restore)
+	doneA := make(chan struct{})
+	go func() {
+		defer close(doneA)
+		l.ReleaseEpoch(pa)
+	}()
+	<-paused
+	doneB := make(chan struct{})
+	go func() {
+		defer close(doneB)
+		l.ReleaseEpoch(pb)
+	}()
+	// Give the last release time to sweep before the parked one resumes.
+	select {
+	case <-doneB:
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(resume)
+	<-doneA
+	<-doneB
+	restore()
+	if dataOf[int](n).hist != nil || l.hists.Load() != nil {
+		t.Fatal("a history record outlived the release of the last pin")
+	}
+}
+
 // TestReleaseDropsHistoriesUnderChurn overwrites keys from several
-// goroutines while another pins and releases epochs; run it under -race.
-// Once the last pin is released, no key may keep a history record.
+// goroutines while two others pin and release epochs, so releases
+// overlap; run it under -race. Once the last pin is released, no key may
+// keep a history record.
 func TestReleaseDropsHistoriesUnderChurn(t *testing.T) {
 	const keys = 64
 	l := New[int](Config{Levels: 4, Seed: 1})
@@ -275,18 +366,21 @@ func TestReleaseDropsHistoriesUnderChurn(t *testing.T) {
 		roots[k] = l.InsertWithHeight(uint64(k), k, nil, 1, nil).Root
 	}
 	stop := make(chan struct{})
-	pinner := make(chan struct{})
-	go func() {
-		defer close(pinner)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				l.ReleaseEpoch(l.PinEpoch())
+	var pinners sync.WaitGroup
+	for range 2 {
+		pinners.Add(1)
+		go func() {
+			defer pinners.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					l.ReleaseEpoch(l.PinEpoch())
+				}
 			}
-		}
-	}()
+		}()
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -299,7 +393,10 @@ func TestReleaseDropsHistoriesUnderChurn(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	<-pinner
+	pinners.Wait()
+	if l.hists.Load() != nil {
+		t.Fatal("a history record stayed listed after the last release")
+	}
 	for k, n := range roots {
 		if dataOf[int](n).hist != nil {
 			t.Fatalf("key %d kept a history record after the last release", k)

@@ -43,7 +43,11 @@ type List[V any] struct {
 	// overwrite under a live pin allocated, so that a release that moves
 	// the pin horizon prunes what no remaining pin can select
 	// (sweepHistories) instead of leaving it to the key's next overwrite.
-	hists atomic.Pointer[history[V]]
+	// Pushes are lock-free; histMu serializes the sweeps, so a release
+	// waits out an in-flight sweep and then finds every record it put
+	// back.
+	hists  atomic.Pointer[history[V]]
+	histMu sync.Mutex
 }
 
 // newRoot returns a level-0 root holding val, ready for stamping: either
@@ -238,7 +242,6 @@ func (l *List[V]) SetValue(n *Node, v V) {
 			fresh = &history[V]{from: e, first: [1]version[V]{{born, d.val}}, d: d}
 			fresh.old = fresh.first[:]
 			d.hist = fresh
-			hook("history.before-push", r)
 			l.pushHistory(fresh)
 		}
 	} else {
@@ -262,8 +265,9 @@ func (l *List[V]) SetValue(n *Node, v V) {
 	}
 }
 
-// pushHistory links h onto hists.
+// pushHistory links h onto hists. The caller holds h.d's value lock.
 func (l *List[V]) pushHistory(h *history[V]) {
+	hook("history.before-push", &h.d.n)
 	for {
 		h.next = l.hists.Load()
 		if l.hists.CompareAndSwap(h.next, h) {
@@ -276,13 +280,19 @@ func (l *List[V]) pushHistory(h *history[V]) {
 // or future pin can select, as SetValue prunes on an overwrite, and drops
 // a record once every pin selects the current value. Records still
 // needed go back on hists; those a later overwrite dropped fall off.
+// Each record is judged against the horizon read under its node's value
+// lock, as SetValue reads it: a pin registered after the sweep began may
+// select the version an overwrite superseded meanwhile.
 func (l *List[V]) sweepHistories() {
-	min := l.minPin.Load()
-	for h := l.hists.Swap(nil); h != nil; {
+	l.histMu.Lock()
+	defer l.histMu.Unlock()
+	h := l.hists.Swap(nil)
+	hook("history.after-swap", nil)
+	for h != nil {
 		next := h.next
 		d := h.d
 		d.lock()
-		if d.hist == h {
+		if min := l.minPin.Load(); d.hist == h {
 			if h.from <= min {
 				d.hist = nil
 			} else {
