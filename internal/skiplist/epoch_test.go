@@ -340,7 +340,9 @@ func TestOverlappingReleasesDropHistories(t *testing.T) {
 		defer close(doneB)
 		l.ReleaseEpoch(pb)
 	}()
-	// Give the last release time to sweep before the parked one resumes.
+	// The last release waits for the parked sweep; a release that did
+	// not would sweep the empty stack now. Give it the time to, so that
+	// the record the parked sweep puts back would be left behind.
 	select {
 	case <-doneB:
 	case <-time.After(50 * time.Millisecond):
