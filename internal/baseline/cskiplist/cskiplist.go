@@ -9,12 +9,12 @@
 // (capped at MaxHeight), and searches always start from the head: cost
 // Θ(log m) regardless of the universe width.
 //
-// Links use the SkipTrie skiplist's layout: plain atomic pointers, with a
-// delete marking a level by CAS-ing a marker node, which holds the
-// successor, into the victim's link there, and a search unlinking victim
-// and marker with one CAS. So a hop is one dependent load in both
-// structures, and wall-clock comparisons (T1, T2, T4) compare the
-// algorithms rather than the link representation.
+// Links use the SkipTrie skiplist's layout (internal/link): each level's
+// link is a (next, marked) word, a delete marks a level by setting the
+// mark bit of the victim's link there, and a search unlinks the victim
+// with one CAS. So a hop is one dependent load in both structures, and
+// wall-clock comparisons (T1, T2, T4) compare the algorithms rather than
+// the link representation.
 package cskiplist
 
 import (
@@ -22,6 +22,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"skiptrie/internal/link"
 	"skiptrie/internal/stats"
 	"skiptrie/internal/uintbits"
 )
@@ -32,56 +33,26 @@ const MaxHeight = 32
 type node struct {
 	key    uint64
 	val    atomic.Pointer[valueCell]
-	sent   int8 // -1 head, +1 tail, 0 data, sentMarker for markers
+	sent   int8 // -1 head, +1 tail, 0 data
 	height int
-	// next holds the successor per level, or a marker once the level is
-	// deleted; a marker's single link holds the frozen successor.
-	next []atomic.Pointer[node]
+	// next holds the successor per level, marked (and frozen) once the
+	// level is deleted. A level not yet linked holds the tail, so a
+	// delete always marks a non-nil successor.
+	next []link.Link[node]
 }
 
-// sentMarker tags marker nodes; a marker is never compared with a key.
-const sentMarker = 2
-
-func isMarker(n *node) bool { return n != nil && n.sent == sentMarker }
-
-// newMarker returns a marker holding succ, its one link inline in the
-// same allocation.
-func newMarker(succ *node) *node {
-	m := &struct {
-		node
-		link [1]atomic.Pointer[node]
-	}{}
-	m.sent = sentMarker
-	m.next = m.link[:]
-	m.link[0].Store(succ)
-	return &m.node
-}
-
-// succ returns n's successor on level lv, read through a marker, and
-// whether n is deleted there.
-func (n *node) succ(lv int) (*node, bool) {
-	s := n.next[lv].Load()
-	if isMarker(s) {
-		return s.next[0].Load(), true
-	}
-	return s, false
-}
+// succ returns n's successor on level lv and whether n is deleted there.
+func (n *node) succ(lv int) (*node, bool) { return n.next[lv].Load() }
 
 // mark deletes n on level lv, reporting whether this call marked it.
 func (n *node) mark(lv int, c *stats.Op) bool {
-	var m *node
 	for {
-		s := n.next[lv].Load()
-		if isMarker(s) {
+		s, marked := n.next[lv].Load()
+		if marked {
 			return false
 		}
-		if m == nil {
-			m = newMarker(s)
-		} else {
-			m.next[0].Store(s)
-		}
 		c.IncCAS()
-		if n.next[lv].CompareAndSwap(s, m) {
+		if n.next[lv].Mark(s) {
 			return true
 		}
 	}
@@ -104,8 +75,8 @@ func New(seed uint64) *List {
 		seed = 0xC1A551C0DE
 	}
 	l := &List{
-		head: &node{sent: -1, height: MaxHeight, next: make([]atomic.Pointer[node], MaxHeight)},
-		tail: &node{sent: +1, height: MaxHeight, next: make([]atomic.Pointer[node], MaxHeight)},
+		head: &node{sent: -1, height: MaxHeight, next: make([]link.Link[node], MaxHeight)},
+		tail: &node{sent: +1, height: MaxHeight, next: make([]link.Link[node], MaxHeight)},
 	}
 	l.rng.Store(seed)
 	for i := 0; i < MaxHeight; i++ {
@@ -133,25 +104,23 @@ func (l *List) find(key uint64, preds, succs *[MaxHeight]*node, c *stats.Op) boo
 retry:
 	pred := l.head
 	for lv := MaxHeight - 1; lv >= 0; lv-- {
-		curr := pred.next[lv].Load()
-		if isMarker(curr) {
+		curr, marked := pred.next[lv].Load()
+		if marked {
 			// pred was deleted at this level after the level above
 			// passed it: no CAS on its link can succeed any more.
 			goto retry
 		}
 		for {
 			c.Hop()
-			next := curr.next[lv].Load()
-			for isMarker(next) {
-				// Unlink the marked node together with its marker.
-				succ := next.next[0].Load()
+			next, marked := curr.next[lv].Load()
+			for marked {
 				c.IncCAS()
-				if !pred.next[lv].CompareAndSwap(curr, succ) {
+				if !pred.next[lv].CompareAndSwap(curr, next) {
 					goto retry
 				}
-				curr = succ
+				curr = next
 				c.Hop()
-				next = curr.next[lv].Load()
+				next, marked = curr.next[lv].Load()
 			}
 			if curr.before(key) {
 				pred, curr = curr, next
@@ -168,7 +137,10 @@ retry:
 func (l *List) Insert(key uint64, val any, c *stats.Op) bool {
 	var preds, succs [MaxHeight]*node
 	h := l.randomHeight()
-	n := &node{key: key, height: h, next: make([]atomic.Pointer[node], h)}
+	n := &node{key: key, height: h, next: make([]link.Link[node], h)}
+	for lv := 1; lv < h; lv++ {
+		n.next[lv].Store(l.tail)
+	}
 	if val != nil {
 		n.val.Store(&valueCell{v: val})
 	}
@@ -187,8 +159,8 @@ func (l *List) Insert(key uint64, val any, c *stats.Op) bool {
 	// Raise remaining levels.
 	for lv := 1; lv < h; lv++ {
 		for {
-			s := n.next[lv].Load()
-			if isMarker(s) {
+			s, marked := n.next[lv].Load()
+			if marked {
 				return true // deleted concurrently; stop raising
 			}
 			if s != succs[lv] && !n.next[lv].CompareAndSwap(s, succs[lv]) {

@@ -27,7 +27,7 @@ import "skiptrie/internal/stats"
 //
 // The cursor survives deletion of the node it rests on: a marked node's
 // next link is frozen at mark time (unlinking rewrites the predecessor,
-// never the marked node or its marker), so stepping forward from a deleted — even
+// never the marked node), so stepping forward from a deleted — even
 // fully unlinked — node follows its frozen successor chain back into
 // the live list, and every node on that chain carried a strictly larger
 // key when the pointer was written. Backward steps ignore the resting

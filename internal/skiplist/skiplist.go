@@ -10,23 +10,20 @@
 // concurrent operations recover when a node is deleted from under their
 // feet (Fomitchev-Ruppert).
 //
-// # Marker nodes
+// # Mark bits
 //
-// Links are plain atomic pointers. The paper's (next, marked) word is
-// represented the way Harris's list with marker nodes (and Java's
-// ConcurrentSkipListMap) represents it: a delete marks its victim by
-// CAS-ing a fresh marker node, holding the victim's successor, into the
-// victim's next field, and a later search unlinks victim and marker with
-// one CAS on the predecessor's next. Every CAS on a next field expects a
-// non-marker node, so a marked node's next never changes again: a CAS
-// expecting left.next == right fails once left is marked, exactly as a
-// CAS on a packed word with a clear mark bit would. Nodes are never
+// Each next field is the paper's (next, marked) word (internal/link): a
+// delete marks its victim by setting the low bit of the victim's next
+// with one CAS, and a later search unlinks the victim with one CAS on
+// the predecessor's next. Every CAS on a next field expects an unmarked
+// word, so a marked node's next never changes again: a CAS expecting
+// left.next == right fails once left is marked. Nodes are never
 // re-linked once unlinked and the garbage collector keeps reachable
 // addresses from being reused, so comparing pointers is enough. A hop is
-// one dependent load — whether a node is marked is read from the node its
-// next field points at, which the walk visits next anyway — and no link
-// update allocates: an insert allocates its nodes, a delete one marker
-// per tower level.
+// one dependent load, and whether a node is marked is read from its own
+// next word, so a level's walk reads no line past the node it stops at.
+// No link update allocates: an insert allocates its nodes, a delete
+// nothing.
 //
 // Top-level nodes additionally carry a prev pointer forming a doubly-linked
 // list. Linearizability relies only on the forward direction; prev pointers
@@ -56,8 +53,8 @@
 // A Node is one 64-byte cache line on 64-bit targets, and its first 32
 // bytes hold what a hop and a liveness check read: key, next, kind,
 // level, flags and dead. Go places a size class's objects at multiples
-// of the class size in page-aligned spans, so sentinels, markers and
-// each tower's slab of h−1 Nodes start on a line boundary. A tower's
+// of the class size in page-aligned spans, so sentinels and each
+// tower's slab of h−1 Nodes start on a line boundary. A tower's
 // level-0 node leads its root allocation: a value-free rootNode header
 // (the Node, then the birth stamp only pinned views read) and, unless V
 // is zero-width as in set form, an unboxed value slot of type V and a
@@ -66,7 +63,7 @@
 // 32 mod 64, so every hop reads one line; the set form's bare rootNode
 // (80-byte class) and dataNode[[]byte] (112) put the hop fields across
 // two lines in one slot of four. An insert allocates the root and the
-// slab; a delete, one 64-byte marker per level.
+// slab; a delete allocates nothing.
 package skiplist
 
 import (
@@ -74,6 +71,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"skiptrie/internal/link"
 	"skiptrie/internal/stats"
 )
 
@@ -100,10 +98,9 @@ const (
 type kind int8
 
 const (
-	kindHead   kind = iota - 1 // sorts before every key
-	kindData                   // an actual key
-	kindTail                   // sorts after every key
-	kindMarker                 // marks its predecessor deleted; never compared
+	kindHead kind = iota - 1 // sorts before every key
+	kindData                 // an actual key
+	kindTail                 // sorts after every key
 )
 
 // Node is one level of one tower: the value-free topology header every
@@ -115,9 +112,9 @@ const (
 // rootNode header.
 type Node struct {
 	key uint64
-	// next is the successor on this level, or a marker (whose next holds
-	// the frozen successor) once the node is deleted.
-	next  atomic.Pointer[Node]
+	// next is the successor on this level, marked (and frozen) once the
+	// node is deleted.
+	next  link.Link[Node]
 	kind  kind
 	level int8
 	flags atomic.Uint32 // flagStop and flagReady, each set once by Or
@@ -169,26 +166,19 @@ func (n *Node) IsTail() bool { return n.kind == kindTail }
 // Level returns the level this node lives on (0 = bottom).
 func (n *Node) Level() int { return int(n.level) }
 
-// isMarker reports whether next, loaded from some node's next field,
-// marks that node deleted.
-func isMarker(next *Node) bool { return next != nil && next.kind == kindMarker }
-
 // Marked reports whether the node is logically deleted.
-func (n *Node) Marked() bool { return isMarker(n.next.Load()) }
+func (n *Node) Marked() bool {
+	_, marked := n.next.Load()
+	return marked
+}
 
 // Next returns the node's successor and whether the node is marked; a
 // marked node's successor is frozen. The tail's successor is nil.
-func (n *Node) Next() (*Node, bool) {
-	next := n.next.Load()
-	if isMarker(next) {
-		return next.next.Load(), true
-	}
-	return next, false
-}
+func (n *Node) Next() (*Node, bool) { return n.next.Load() }
 
-// succ returns the node's successor, looking through a marker.
+// succ returns the node's successor, marked or not.
 func (n *Node) succ() *Node {
-	next, _ := n.Next()
+	next, _ := n.next.Load()
 	return next
 }
 
@@ -377,7 +367,9 @@ type Bracket struct {
 // search is the paper's listSearch(x, start): walk level nodes from start,
 // unlinking marked nodes it passes, and return a bracket around t. start
 // may be marked or even past t; recovery uses back pointers (which always
-// decrease strictly, so recovery terminates at the level head).
+// decrease strictly, so recovery terminates at the level head). Whether
+// curr is marked is read from curr's own next word, so the walk reads no
+// node past the one it returns as Right.
 func (l *Topology) search(t target, start *Node, c *stats.Op) Bracket {
 	left := start
 	for {
@@ -386,8 +378,8 @@ func (l *Topology) search(t target, start *Node, c *stats.Op) Bracket {
 			left = left.back.Load()
 			c.Hop()
 		}
-		curr := left.next.Load()
-		if isMarker(curr) {
+		curr, marked := left.next.Load()
+		if marked {
 			left = left.back.Load()
 			c.Hop()
 			continue
@@ -395,16 +387,14 @@ func (l *Topology) search(t target, start *Node, c *stats.Op) Bracket {
 	walk:
 		for {
 			c.Hop()
-			next := curr.next.Load()
-			if isMarker(next) {
-				// Unlink curr together with its marker; on contention
-				// re-anchor.
-				succ := next.next.Load()
+			next, marked := curr.next.Load()
+			if marked {
+				// Unlink curr; on contention re-anchor.
 				c.IncCAS()
-				if !left.next.CompareAndSwap(curr, succ) {
+				if !left.next.CompareAndSwap(curr, next) {
 					break walk
 				}
-				curr = succ
+				curr = next
 				continue
 			}
 			if curr.before(t) {
@@ -522,8 +512,12 @@ func (l *Topology) setPrev(node, left *Node, c *stats.Op) bool {
 	hook("prev.before-cas", left)
 	c.IncCAS()
 	ok := node.prev.CompareAndSwap(old, left)
-	if ok && left.next.Load() != node {
-		l.fixPrevOf(node, l.search(node.target(), left, c), c)
+	if ok {
+		// A marked left whose frozen successor is node is no longer
+		// adjacent either.
+		if next, marked := left.next.Load(); marked || next != node {
+			l.fixPrevOf(node, l.search(node.target(), left, c), c)
+		}
 	}
 	return ok
 }
@@ -682,24 +676,19 @@ func (l *Topology) removeLevel(n, left *Node, c *stats.Op) {
 	}
 }
 
-// markNode sets n.back to the given hint and marks n by CAS-ing a marker
-// holding its successor into n.next, returning true if this call's CAS
-// performed the marking.
+// markNode sets n.back to the given hint and marks n by setting the mark
+// bit of n.next with a CAS, returning true if this call's CAS performed
+// the marking. It allocates nothing.
 func (l *Topology) markNode(n, backHint *Node, c *stats.Op) bool {
-	var marker *Node
 	for {
-		next := n.next.Load()
-		if isMarker(next) {
+		next, marked := n.next.Load()
+		if marked {
 			return false
 		}
 		hook("delete.before-mark", n)
 		n.back.Store(backHint)
-		if marker == nil {
-			marker = &Node{kind: kindMarker}
-		}
-		marker.next.Store(next)
 		c.IncCAS()
-		if n.next.CompareAndSwap(next, marker) {
+		if n.next.Mark(next) {
 			return true
 		}
 	}

@@ -2,9 +2,11 @@ package skiplist
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"weak"
 )
 
 func newList(t *testing.T, levels int) *List[any] {
@@ -87,6 +89,49 @@ func TestDelete(t *testing.T) {
 	if l.Delete(2, nil, nil).Deleted {
 		t.Fatal("second delete of 2 succeeded")
 	}
+}
+
+// TestMarkedNodeKeepsSuccessor marks a level-0 node without unlinking
+// it, so that its successor is reachable only through the marked next
+// word: the keys are inserted in descending order, so every back pointer
+// is the head. The successor must survive two collections, and a Find of
+// its key must unlink the marked node and return it.
+func TestMarkedNodeKeepsSuccessor(t *testing.T) {
+	l := New[int](Config{Levels: 4, Seed: 1})
+	for _, k := range []uint64{3, 2, 1} {
+		l.InsertWithHeight(k, int(k), nil, 1, nil)
+	}
+	w := markFirst(t, l)
+	runtime.GC()
+	runtime.GC()
+	if w.Value() == nil {
+		t.Fatal("the successor of a marked node was collected")
+	}
+	n, ok := l.Find(2, nil, nil)
+	if !ok || n != w.Value() || l.ValueOf(n) != 2 {
+		t.Fatalf("Find(2) = %v, %v; want the marked node's successor holding 2", fmtNode(n), ok)
+	}
+	if next, marked := l.heads[0].Next(); next != n || marked {
+		t.Fatalf("head's successor is %v after Find, want key 2", fmtNode(next))
+	}
+	CheckInvariants(t, l)
+}
+
+// markFirst marks the first level-0 node (key 1) without unlinking it,
+// accounting for it as a delete does, and returns only a weak pointer to
+// its successor (key 2).
+func markFirst(t *testing.T, l *List[int]) weak.Pointer[Node] {
+	first := l.heads[0].succ()
+	second := first.succ()
+	if first.key != 1 || second.key != 2 {
+		t.Fatalf("level 0 starts %d, %d; want 1, 2", first.key, second.key)
+	}
+	if !l.markNode(first, l.heads[0], nil) {
+		t.Fatal("markNode did not mark the node")
+	}
+	l.length.Add(-1)
+	l.nodes.Add(-1)
+	return weak.Make(second)
 }
 
 func TestDeleteAbsent(t *testing.T) {

@@ -57,9 +57,9 @@ func TestConcurrentBucketInitialization(t *testing.T) {
 // heavy growth: live codes are nondecreasing and sentinels partition
 // regular nodes correctly. A third of the keys are left logically deleted
 // but still linked, as deletes preempted between their marking and
-// unlinking CASes leave them: the raw walk must only ever step onto a
-// marker through a deleted node's next, and Range must yield neither
-// markers nor deleted keys. Lookups of the deleted keys then unlink them.
+// unlinking CASes leave them: the raw walk must find only those keys'
+// next words marked, and Range must not yield them. Lookups of the
+// deleted keys then unlink them.
 func TestListStaysSortedBySplitOrder(t *testing.T) {
 	const n = 5000
 	m := New[int]()
@@ -76,12 +76,12 @@ func TestListStaysSortedBySplitOrder(t *testing.T) {
 	walk := func() (live, marked int) {
 		var prev uint64
 		first := true
-		for nd := m.sentinel(0); nd != nil; {
-			if nd.code == markerCode {
-				t.Fatal("walk stepped onto a marker as a list node")
+		for nd := m.sentinel(0); nd != &m.end; {
+			if nd == nil {
+				t.Fatal("walk fell off the list before its end node")
 			}
-			next := nd.next.Load()
-			if deleted(next) {
+			next, isMarked := nd.next.Load()
+			if isMarked {
 				if nd.code&1 == 0 {
 					t.Fatalf("sentinel %d is marked deleted", nd.key)
 				}
@@ -89,7 +89,7 @@ func TestListStaysSortedBySplitOrder(t *testing.T) {
 					t.Fatalf("live key %x is marked deleted", nd.key)
 				}
 				marked++
-				nd = next.next.Load()
+				nd = next
 				continue
 			}
 			if !first && nd.code < prev {
@@ -144,21 +144,19 @@ func markOnly(t *testing.T, m *Map[int], key uint64) {
 	h := hash63(key)
 	code := regularCode(h)
 	_, curr := m.search(m.sentinel(h&(m.size.Load()-1)), code, key)
-	if curr == nil || curr.code != code || curr.key != key {
+	if curr.code != code || curr.key != key {
 		t.Fatalf("key %x not found", key)
 	}
-	next := curr.next.Load()
-	marker := &node[int]{code: markerCode}
-	marker.next.Store(next)
-	if deleted(next) || !curr.next.CompareAndSwap(next, marker) {
+	next, marked := curr.next.Load()
+	if marked || !curr.next.Mark(next) {
 		t.Fatalf("key %x: marking failed", key)
 	}
 	m.count.Add(-1)
 }
 
-// TestInsertDeleteAllocs pins the allocation cost of the marker
-// representation and of in-place values: a fresh Insert allocates only
-// its node, value included, and a Delete only its marker. Every bucket's
+// TestInsertDeleteAllocs pins the allocation cost of the mark-bit links
+// and of in-place values: a fresh Insert allocates only its node, value
+// included, and a Delete nothing. Every bucket's
 // sentinel is spliced in beforehand and the table holds far fewer items
 // than its growth threshold, so lazy bucket initialization stays out of
 // the measurement.
@@ -186,7 +184,7 @@ func TestInsertDeleteAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(runs, func() {
 		m.Delete(next)
 		next++
-	}); got != 1 {
-		t.Fatalf("Delete allocates %v objects, want 1", got)
+	}); got != 0 {
+		t.Fatalf("Delete allocates %v objects, want 0", got)
 	}
 }

@@ -23,28 +23,27 @@
 // lets trie-node tombstoning be helped by concurrent inserts without ever
 // deleting a newer incarnation of the same prefix.
 //
-// # Marker nodes
+// # Mark bits
 //
-// Links are plain atomic pointers. A delete marks its victim logically
-// deleted by CAS-ing a marker node into the victim's next field (Harris's
-// list with marker nodes, as in Java's ConcurrentSkipListMap); the marker
-// holds the victim's successor, and a later CAS on the predecessor's next
-// unlinks victim and marker together. Once a node's next holds a marker
-// it never changes again, because every CAS on a next field expects a
-// non-marker node. So a CAS on pred.next that expects curr fails once
-// pred is deleted — the guarantee a mark bit packed beside the pointer
-// gives — and inserting behind, or unlinking past, a deleted node is
-// impossible. Nodes are never re-linked once unlinked and the garbage
-// collector keeps a reachable address from being reused, so comparing
-// pointers is enough: a CAS that finds pred.next == curr links or
-// unlinks correctly whatever happened in between. The table therefore
-// needs no DCSS: every update is a single-word CAS on one next field.
+// Each next field is a (next, marked) word (internal/link, Harris's
+// list): a delete marks its victim logically deleted by setting the low
+// bit of the victim's next with one CAS, and a later CAS on the
+// predecessor's next unlinks the victim. A marked next never changes
+// again, because every CAS on a next field expects an unmarked word. So
+// a CAS on pred.next that expects curr fails once pred is deleted, and
+// inserting behind, or unlinking past, a deleted node is impossible.
+// Nodes are never re-linked once unlinked and the garbage collector
+// keeps a reachable address from being reused, so comparing pointers is
+// enough: a CAS that finds pred.next == curr links or unlinks correctly
+// whatever happened in between. The table therefore needs no DCSS:
+// every update is a single-word CAS on one next field.
 //
-// A walk visits each node with one dependent load (its header holds the
-// code, key, value and next pointer), and whether a node is deleted is
-// read from the node it links to, which the walk visits next anyway. An
-// Insert allocates its node (value included) and a Delete its marker,
-// nothing more.
+// A mark bit is never set on a nil pointer, so the list does not end in
+// nil but at the Map's end node, which is compared by identity and never
+// deleted. A walk visits each node with one dependent load (its header
+// holds the code, key, value and next word), and whether a node is
+// deleted is read from its own next word. An Insert allocates its node
+// (value included) and a Delete nothing.
 //
 // # Split-order codes
 //
@@ -55,15 +54,18 @@
 // makes bucket b's sentinel sort immediately before every item with
 // h ≡ b (mod 2^i) for the current table size 2^i, which is what makes
 // lazy splitting sound. Ties on code (possible only for regular items
-// whose 63-bit hashes collide) are broken by the key itself. Markers
-// carry markerCode, an even code no sentinel has; they are never
-// compared, only recognized.
+// whose 63-bit hashes collide) are broken by the key itself. Every walk
+// stops at the end node by identity, so it is never ordered against a
+// key, and its zero code equals no code a search looks for: regular
+// codes are odd, and bucket 0's sentinel, the one other code 0, is never
+// searched for.
 package splitorder
 
 import (
 	"math/bits"
 	"sync/atomic"
 
+	"skiptrie/internal/link"
 	"skiptrie/internal/uintbits"
 )
 
@@ -76,10 +78,6 @@ const (
 	// maxLoad is the average number of regular items per bucket beyond
 	// which the bucket count doubles.
 	maxLoad = 3
-
-	// markerCode tags marker nodes: even, so no regular item has it, and
-	// nonzero in the low 42 bits, so no sentinel has it either.
-	markerCode = 2
 )
 
 // Map is a lock-free hash map from uint64 keys to values of type V, each
@@ -89,17 +87,19 @@ type Map[V any] struct {
 	dir   [dirSize]atomic.Pointer[segment[V]]
 	size  atomic.Uint64 // current bucket count, a power of two
 	count atomic.Int64  // regular (non-sentinel) items, approximate
+	// end is the last node of the list; a walk stops at it by identity.
+	end node[V]
 }
 
 type segment[V any] [segSize]atomic.Pointer[node[V]]
 
-// node is a regular item (odd code), a bucket sentinel (even code) or a
-// marker (markerCode). A node is deleted iff its next is a marker. Only a
+// node is a regular item (odd code), a bucket sentinel (even code) or
+// the Map's end node. A node is deleted iff its next is marked. Only a
 // regular item's val is used.
 type node[V any] struct {
 	code uint64 // split-order code
 	key  uint64 // original key (regular) or bucket index (sentinel)
-	next atomic.Pointer[node[V]]
+	next link.Link[node[V]]
 	val  V
 }
 
@@ -130,12 +130,6 @@ func (n *node[V]) before(code, key uint64) bool {
 	return n.key < key
 }
 
-// deleted reports whether next, loaded from some node's next field, marks
-// that node deleted.
-func deleted[V any](next *node[V]) bool {
-	return next != nil && next.code == markerCode
-}
-
 // Lookup returns the address of the value stored under key, or nil if
 // key is absent.
 func (m *Map[V]) Lookup(key uint64) *V {
@@ -143,7 +137,7 @@ func (m *Map[V]) Lookup(key uint64) *V {
 	code := regularCode(h)
 	start := m.sentinel(h & (m.size.Load() - 1))
 	_, curr := m.search(start, code, key)
-	if curr != nil && curr.code == code && curr.key == key {
+	if curr.code == code && curr.key == key {
 		return &curr.val
 	}
 	return nil
@@ -160,7 +154,7 @@ func (m *Map[V]) Insert(key uint64, init func(v *V)) bool {
 	for {
 		start := m.sentinel(h & (m.size.Load() - 1))
 		pred, curr := m.search(start, code, key)
-		if curr != nil && curr.code == code && curr.key == key {
+		if curr.code == code && curr.key == key {
 			return false
 		}
 		if n == nil {
@@ -194,25 +188,20 @@ func (m *Map[V]) CompareAndDelete(key uint64, want *V) bool {
 func (m *Map[V]) deleteIf(key uint64, want *V) *V {
 	h := hash63(key)
 	code := regularCode(h)
-	var marker *node[V]
 	for {
 		start := m.sentinel(h & (m.size.Load() - 1))
 		p, curr := m.search(start, code, key)
-		if curr == nil || curr.code != code || curr.key != key {
+		if curr.code != code || curr.key != key {
 			return nil
 		}
 		if want != nil && &curr.val != want {
 			return nil
 		}
-		next := curr.next.Load()
-		if deleted(next) {
+		next, marked := curr.next.Load()
+		if marked {
 			continue // concurrently deleted; re-search to converge
 		}
-		if marker == nil {
-			marker = &node[V]{code: markerCode}
-		}
-		marker.next.Store(next)
-		if curr.next.CompareAndSwap(next, marker) {
+		if curr.next.Mark(next) {
 			m.count.Add(-1)
 			// Best-effort physical unlink; searches clean up otherwise.
 			p.next.CompareAndSwap(curr, next)
@@ -223,30 +212,29 @@ func (m *Map[V]) deleteIf(key uint64, want *V) *V {
 
 // search walks from start (a sentinel) and returns (pred, curr) such
 // that pred sorts before (code, key), curr is the first node not before
-// (code, key) (nil at end of list), and pred.next was curr when read.
-// Deleted nodes passed on the way are physically unlinked, and a curr
-// holding exactly (code, key) was not deleted when its next was read. A
-// curr past (code, key) is returned without that check: no caller needs
-// its liveness, and skipping it saves the load of the node it links to.
+// (code, key) (the end node at the end of the list), and pred.next was
+// curr when read. Deleted nodes passed on the way are physically
+// unlinked, and a curr holding exactly (code, key) was not deleted when
+// its next was read. A curr past (code, key) is returned without that
+// check: no caller needs its liveness.
 func (m *Map[V]) search(start *node[V], code, key uint64) (pred, curr *node[V]) {
 	// start is a sentinel and sentinels are never deleted, so the initial
 	// pred is always a valid left anchor.
 retry:
 	pred = start
-	curr = pred.next.Load()
-	for curr != nil {
+	curr, _ = pred.next.Load()
+	for curr != &m.end {
 		before := curr.before(code, key)
 		if !before && (curr.code != code || curr.key != key) {
 			return pred, curr
 		}
-		next := curr.next.Load()
-		if deleted(next) {
-			// Unlink curr and its marker; restart if pred changed.
-			succ := next.next.Load()
-			if !pred.next.CompareAndSwap(curr, succ) {
+		next, marked := curr.next.Load()
+		if marked {
+			// Unlink curr; restart if pred changed.
+			if !pred.next.CompareAndSwap(curr, next) {
 				goto retry
 			}
-			curr = succ
+			curr = next
 			continue
 		}
 		if !before {
@@ -254,7 +242,7 @@ retry:
 		}
 		pred, curr = curr, next
 	}
-	return pred, nil
+	return pred, curr
 }
 
 // sentinel returns bucket b's sentinel node, lazily splicing it (and,
@@ -275,6 +263,7 @@ func (m *Map[V]) initBucket(b uint64) *node[V] {
 	slot := m.slot(b)
 	if b == 0 {
 		n := &node[V]{code: 0}
+		n.next.Store(&m.end)
 		if slot.CompareAndSwap(nil, n) {
 			return n
 		}
@@ -284,7 +273,7 @@ func (m *Map[V]) initBucket(b uint64) *node[V] {
 	code := sentinelCode(b)
 	for {
 		pred, curr := m.search(parent, code, b)
-		if curr != nil && curr.code == code {
+		if curr.code == code {
 			// A racing initializer already spliced it in.
 			slot.CompareAndSwap(nil, curr)
 			return slot.Load()
@@ -331,10 +320,10 @@ func (m *Map[V]) Buckets() int {
 // interleaving of concurrent updates.
 func (m *Map[V]) Range(fn func(key uint64, v *V) bool) {
 	curr := m.sentinel(0)
-	for curr != nil {
-		next := curr.next.Load()
-		if deleted(next) {
-			curr = next.next.Load()
+	for curr != &m.end {
+		next, marked := curr.next.Load()
+		if marked {
+			curr = next
 			continue
 		}
 		if curr.code&1 == 1 && !fn(curr.key, &curr.val) {

@@ -3,7 +3,31 @@ package skiptrie
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestMetricStripeLayout pins the stripe padding: a stripe is 192 B, and
+// at every 8-B-aligned base offset of Metrics the last counter line of
+// each stripe comes before the first line of the next, so concurrent
+// recorders on neighbouring stripes never share a cache line. The
+// 160-B stripe this replaced shared one at base offsets 24 and 56 mod 64.
+func TestMetricStripeLayout(t *testing.T) {
+	var s metricStripe
+	size := unsafe.Sizeof(s)
+	end := unsafe.Offsetof(s.touches) + unsafe.Sizeof(s.touches)
+	if size != 192 {
+		t.Fatalf("metricStripe is %d B, want 192", size)
+	}
+	for base := uintptr(0); base < 64; base += 8 {
+		for i := uintptr(0); i+1 < metricStripes; i++ {
+			last := (base + i*size + end - 1) / 64
+			first := (base + (i+1)*size) / 64
+			if last >= first {
+				t.Errorf("base %d mod 64: stripes %d and %d share line %d", base, i, i+1, first)
+			}
+		}
+	}
+}
 
 // TestMetricsAttribution checks that every public operation records its
 // sample under the right OpKind bucket — in particular that successor
