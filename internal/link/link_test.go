@@ -6,9 +6,9 @@ import (
 	"weak"
 )
 
-// node is a list node of the smallest size the package allows a
-// successor to have in this repository: 32 bytes, holding a pointer, so
-// the allocator never packs it with other objects.
+// node is 32 bytes, the size of the smallest list node in this module,
+// and holds a pointer, so the allocator never packs it with other
+// objects (only pointer-free objects share a tiny block).
 type node struct {
 	key  uint64
 	next Link[node]
