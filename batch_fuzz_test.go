@@ -8,9 +8,9 @@ import (
 // batches — arbitrary length, unsorted, duplicate-laden, with
 // out-of-universe keys mixed in — and replays each batch three ways: as
 // Map.StoreBatch, as Sharded.StoreBatch (interleaved with forced Split
-// and Merge so chunks land on migrating shards), and as per-key Stores
-// into a plain sequential model. Any divergence in lookups, lengths, or
-// final Range contents fails. This is the differential argument that
+// and Merge so chunks land on freshly migrated shards), and as per-key
+// Stores into a plain sequential model. Any divergence in lookups,
+// lengths, or final Range contents fails. This is the differential argument that
 // the batched write path (sortBatch + hinted descents + shard chunking)
 // preserved per-key Store semantics exactly.
 //
@@ -65,7 +65,8 @@ func FuzzStoreBatchVsStores(f *testing.F) {
 				}
 			}
 			// Force online migration between batches so later chunks
-			// latch migrating buckets and exercise dirty-marking.
+			// land in buckets a drain just filled from its sources'
+			// pinned copy and journal replay.
 			switch step % 3 {
 			case 0:
 				sh.Split(keys[0] & ((1 << w) - 1))

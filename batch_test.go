@@ -116,8 +116,9 @@ func TestShardedStoreBatchCrossShard(t *testing.T) {
 }
 
 // TestShardedStoreBatchUnderReshard interleaves batches with online
-// Split/Merge of the ranges the batches are landing in, exercising the
-// migration dirty-marking path for latched chunks.
+// Split/Merge of the ranges the batches are landing in, so latched
+// chunks land in sources between their warm copy and their seal and
+// reach the new shards through the journal replay.
 func TestShardedStoreBatchUnderReshard(t *testing.T) {
 	s := MustNewSharded[int](WithWidth(16), WithShards(2), WithMaxShards(64))
 	var wg sync.WaitGroup

@@ -475,7 +475,7 @@ func S1ShardedScaling(sc Scale) Result {
 // moving-Zipf hot-range workload for one Duration, with or without the
 // reshard balancer attached. It reports throughput, the final shard
 // count, the final max/mean shard-length skew, and the balancer's
-// reshard counts.
+// reshard counts (zero for the static cell, which has no balancer).
 func s2Cell(sc Scale, threads int, auto bool) (thr float64, lat stats.Hist, shards int, skew float64, splits, merges uint64) {
 	const w = 32
 	// MaxShards 64 = 6 prefix bits = a 2^26-key minimum shard range, a
@@ -510,10 +510,11 @@ func s2Cell(sc Scale, threads int, auto bool) (thr float64, lat stats.Hist, shar
 		for i := 0; i < 64; i++ {
 			bal.Tick()
 		}
+		st := bal.Stats()
+		splits, merges = st.Splits, st.Merges
 	}
 	skew = reshard.SkewOf(tr.ShardLens())
-	sp, mg, _, _ := tr.ReshardStats()
-	return r.OpsPerMs, r.Lat, tr.Shards(), skew, sp, mg
+	return r.OpsPerMs, r.Lat, tr.Shards(), skew, splits, merges
 }
 
 // S2HotRangeResharding: the hot-range ablation for dynamic resharding.

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"skiptrie/internal/core"
@@ -9,32 +10,42 @@ import (
 
 // This file implements online shard migration: Split divides one shard
 // into two half-universe children, Merge rejoins two buddy siblings.
-// Both run the same three-phase drain against the source shard(s):
+// Both run one drain (migrate), which reads each source through the
+// same pin, snapshot cursor and change journal a snapshot diff uses:
 //
-//  1. Warm copy (source live). The source is flipped to migrating under
-//     its write latch; from that instant every write to it also files
-//     its key in the migration's dirty set (writers hold the latch
-//     shared across state-check + op + mark, so no write is ever
-//     missed). A cursor then walks the source and copies every key into
-//     its destination trie. The cursor's weak consistency is exactly
-//     enough: keys stable through the pass are guaranteed copied, and
-//     any key that churned is in the dirty set.
+//  1. Warm copy (source live). The source's epoch is pinned (warmPin)
+//     and the view at warmPin is copied into the destination tries
+//     through the snapshot cursor. The pinned view cannot change under
+//     the cursor, so the destinations end the pass holding exactly the
+//     source's contents at warmPin, while writers keep landing in the
+//     source.
 //
 //  2. Seal. The source is flipped to sealed under its write latch —
 //     the latch acquisition is the linearization barrier: once it is
-//     taken, no write is in flight and all dirty marks are visible.
-//     From here the source is frozen forever. Writers that still route
-//     to it (via the soon-to-be-replaced table) spin re-routing until
-//     the new table lands; readers may keep answering from it.
+//     taken, no write is in flight. From here the source is frozen
+//     forever. Writers that still route to it (via the soon-to-be-
+//     replaced table) spin re-routing until the new table lands;
+//     readers may keep answering from it.
 //
-//  3. Delta resync (source frozen). Each dirty key is replayed against
-//     the source's frozen truth: present → re-store its final value in
-//     the destination (fixing values the warm copy caught mid-update),
-//     absent → delete from the destination (fixing ghosts the warm
-//     copy saw before a delete). The pause writers can observe is
-//     proportional to this delta, not to the shard size.
+//  3. Journal resync (source frozen). The source is pinned again
+//     (sealPin). Every pin bumps the clock, so sealPin > warmPin, and
+//     with no write in flight the view at sealPin is the source's
+//     frozen final contents. The journal diff DiffEpochs(warmPin,
+//     sealPin) — the walk Snap.DiffTo runs for a shared bucket — is
+//     replayed into the destinations as Store/Delete. It resolves each
+//     key written in the window against both pinned views: a key
+//     inserted and deleted during the copy nets out (the copy never saw
+//     it), a delete followed by a reinsert is a put. The pause writers
+//     can observe is proportional to this delta, not to the shard size.
 //
-// Only then is the new routing table published and the source retired.
+// Only then is the new routing table published, and only after that
+// are the migration's pins released: a release that moves the pin
+// horizon sweeps the source (retired nodes, value histories, journal
+// truncation), and inside the seal window writers spinning on the
+// sealed source would wait that sweep out. The pins are ordinary pins —
+// while one is live, overwrites in the source keep their superseded
+// value and deletes keep their node, as under an open snapshot — and
+// the pin gauges and trace hooks count them.
 //
 // Linearizability across the swap: writes always land in the
 // authoritative shard (the source until seal, the destinations after
@@ -52,15 +63,16 @@ import (
 
 // MoveStats reports one Split or Merge.
 type MoveStats struct {
-	// Moved counts keys copied by the warm pass; Dirty counts keys
-	// replayed by the sealed delta resync (writes that raced the copy).
+	// Moved counts keys copied by the warm pass; Dirty counts keys the
+	// sealed resync replayed: keys whose presence or value differs
+	// between the source's pinned views at the copy and at the seal.
 	Moved, Dirty int
 	// Shards is the shard count after the operation.
 	Shards int
 	// Duration is the operation's wall time, warm copy included.
 	Duration time.Duration
 	// WarmCopy and Resync split Duration by phase: WarmCopy is the
-	// source-live copy pass (phase 1), Resync the seal + dirty-delta
+	// source-live copy pass (phase 1), Resync the seal + journal
 	// replay (phases 2-3) — the only window writers can observe.
 	WarmCopy, Resync time.Duration
 }
@@ -81,7 +93,6 @@ func (t *Trie[V]) traceMigration(split bool, phase string, b *bucket[V], keys in
 func (t *Trie[V]) Split(key uint64) (MoveStats, error) {
 	t.reshardMu.Lock()
 	defer t.reshardMu.Unlock()
-	start := time.Now()
 	if !t.inUniverse(key) {
 		return MoveStats{}, fmt.Errorf("shard: Split key %#x outside the universe", key)
 	}
@@ -90,41 +101,9 @@ func (t *Trie[V]) Split(key uint64) (MoveStats, error) {
 	if b.bits >= t.maxBits {
 		return MoveStats{}, fmt.Errorf("shard: shard [%#x,%#x] already at the split depth limit (%d bits)", b.lo, b.hi, t.maxBits)
 	}
-	cw := t.width - b.bits - 1 // child universe width, >= 1
-	mid := b.lo + (uint64(1) << cw)
-	left := t.newBucket(b.lo, b.bits+1)
-	right := t.newBucket(mid, b.bits+1)
-	dest := func(k uint64) *core.SkipTrie[V] {
-		if k < mid {
-			return left.trie
-		}
-		return right.trie
-	}
-	warmStart := time.Now()
-	mig, moved := warmCopy(b, dest)
-	warm := time.Since(warmStart)
-	t.traceMigration(true, "warm-copy", b, moved, warm)
-	resyncStart := time.Now()
-	dirty := sealAndResync(b, mig, dest)
-	resync := time.Since(resyncStart)
-	t.traceMigration(true, "seal-resync", b, dirty, resync)
-
-	bs := make([]*bucket[V], 0, len(tab.buckets)+1)
-	for _, ob := range tab.buckets {
-		if ob == b {
-			bs = append(bs, left, right)
-		} else {
-			bs = append(bs, ob)
-		}
-	}
-	t.tab.Store(buildTable(t.width, bs, tab.gen+1))
-
-	d := time.Since(start)
-	t.splits.Add(1)
-	t.movedKeys.Add(uint64(moved + dirty))
-	t.migrateNanos.Add(int64(d))
-	return MoveStats{Moved: moved, Dirty: dirty, Shards: len(bs), Duration: d,
-		WarmCopy: warm, Resync: resync}, nil
+	mid := b.lo + uint64(1)<<(t.width-b.bits-1) // a child's universe is >= 1 bit wide
+	kids := []*bucket[V]{t.newBucket(b.lo, b.bits+1), t.newBucket(mid, b.bits+1)}
+	return t.migrate(true, tab, []*bucket[V]{b}, kids), nil
 }
 
 // Merge rejoins the shard owning key with its buddy — the sibling shard
@@ -136,7 +115,6 @@ func (t *Trie[V]) Split(key uint64) (MoveStats, error) {
 func (t *Trie[V]) Merge(key uint64) (MoveStats, error) {
 	t.reshardMu.Lock()
 	defer t.reshardMu.Unlock()
-	start := time.Now()
 	if !t.inUniverse(key) {
 		return MoveStats{}, fmt.Errorf("shard: Merge key %#x outside the universe", key)
 	}
@@ -145,96 +123,86 @@ func (t *Trie[V]) Merge(key uint64) (MoveStats, error) {
 	if b.bits == 0 {
 		return MoveStats{}, fmt.Errorf("shard: cannot merge the only shard")
 	}
-	buddyLo := b.lo ^ (uint64(1) << (t.width - b.bits))
-	bd := tab.route(buddyLo)
+	bd := tab.route(b.lo ^ (uint64(1) << (t.width - b.bits)))
 	if bd.bits != b.bits {
 		return MoveStats{}, fmt.Errorf("shard: buddy of [%#x,%#x] is split finer; merge its children first", b.lo, b.hi)
 	}
-	lower, upper := b, bd
-	if upper.lo < lower.lo {
-		lower, upper = upper, lower
+	if bd.lo < b.lo {
+		b, bd = bd, b
 	}
-	parent := t.newBucket(lower.lo, b.bits-1)
-	// Both sources warm-copy while fully live; only then is either
-	// sealed. Writers to either half therefore spin only from their
-	// shard's seal to publication — a window proportional to the two
-	// dirty deltas, the same O(churn) bound Split gives, never to the
-	// other shard's size.
-	dest := func(uint64) *core.SkipTrie[V] { return parent.trie }
-	w1s := time.Now()
-	mig1, m1 := warmCopy(lower, dest)
-	w1 := time.Since(w1s)
-	t.traceMigration(false, "warm-copy", lower, m1, w1)
-	w2s := time.Now()
-	mig2, m2 := warmCopy(upper, dest)
-	w2 := time.Since(w2s)
-	t.traceMigration(false, "warm-copy", upper, m2, w2)
-	r1s := time.Now()
-	d1 := sealAndResync(lower, mig1, dest)
-	r1 := time.Since(r1s)
-	t.traceMigration(false, "seal-resync", lower, d1, r1)
-	r2s := time.Now()
-	d2 := sealAndResync(upper, mig2, dest)
-	r2 := time.Since(r2s)
-	t.traceMigration(false, "seal-resync", upper, d2, r2)
+	return t.migrate(false, tab, []*bucket[V]{b, bd}, []*bucket[V]{t.newBucket(b.lo, b.bits-1)}), nil
+}
 
-	bs := make([]*bucket[V], 0, len(tab.buckets)-1)
+// migrate drains srcs — adjacent buckets of tab, ascending — into dsts,
+// fresh buckets tiling the same range in ascending order, then
+// publishes tab with dsts in their place (see the file comment). Every
+// source is pinned and copied while live before any is sealed, so
+// writers to one source of a Merge spin only from that source's seal to
+// publication: a window proportional to the two journal deltas, never
+// to the other source's size.
+func (t *Trie[V]) migrate(split bool, tab *table[V], srcs, dsts []*bucket[V]) MoveStats {
+	start := time.Now()
+	dest := func(k uint64) *core.SkipTrie[V] {
+		i := 0
+		for k > dsts[i].hi {
+			i++
+		}
+		return dsts[i].trie
+	}
+	var ms MoveStats
+	warmPins := make([]uint64, len(srcs))
+	for i, b := range srcs {
+		t0 := time.Now()
+		warmPins[i] = b.trie.PinEpoch()
+		it := b.trie.MakeSnapIter(warmPins[i], nil)
+		n := 0
+		for ok := it.First(); ok; ok = it.Next() {
+			dest(it.Key()).Store(it.Key(), it.Value(), nil)
+			n++
+		}
+		d := time.Since(t0)
+		t.traceMigration(split, "warm-copy", b, n, d)
+		ms.Moved += n
+		ms.WarmCopy += d
+	}
+	sealPins := make([]uint64, len(srcs))
+	for i, b := range srcs {
+		t0 := time.Now()
+		b.mu.Lock()
+		b.sealed = true
+		b.mu.Unlock()
+		sealPins[i] = b.trie.PinEpoch()
+		n := 0
+		b.trie.DiffEpochs(warmPins[i], sealPins[i], nil, func(k uint64, v V, put bool) bool {
+			if put {
+				dest(k).Store(k, v, nil)
+			} else {
+				dest(k).Delete(k, nil)
+			}
+			n++
+			return true
+		})
+		d := time.Since(t0)
+		t.traceMigration(split, "seal-resync", b, n, d)
+		ms.Dirty += n
+		ms.Resync += d
+	}
+
+	bs := make([]*bucket[V], 0, len(tab.buckets)-len(srcs)+len(dsts))
 	for _, ob := range tab.buckets {
-		switch ob {
-		case lower:
-			bs = append(bs, parent)
-		case upper:
-			// dropped: parent covers it
-		default:
+		switch {
+		case ob == srcs[0]:
+			bs = append(bs, dsts...)
+		case !slices.Contains(srcs, ob):
 			bs = append(bs, ob)
 		}
 	}
 	t.tab.Store(buildTable(t.width, bs, tab.gen+1))
-
-	d := time.Since(start)
-	t.merges.Add(1)
-	t.movedKeys.Add(uint64(m1 + m2 + d1 + d2))
-	t.migrateNanos.Add(int64(d))
-	return MoveStats{Moved: m1 + m2, Dirty: d1 + d2, Shards: len(bs), Duration: d,
-		WarmCopy: w1 + w2, Resync: r1 + r2}, nil
-}
-
-// warmCopy runs phase 1 against a live source: flips it to migrating
-// (from which instant concurrent writes file their keys in the returned
-// dirty set) and copies every resident key into its destination through
-// the cursor.
-func warmCopy[V any](b *bucket[V], dest func(uint64) *core.SkipTrie[V]) (mig *migration, moved int) {
-	mig = &migration{dirty: make(map[uint64]struct{})}
-	b.mu.Lock()
-	b.state = bucketMigrating
-	b.mig = mig
-	b.mu.Unlock()
-
-	it := b.trie.MakeIter(nil)
-	for ok := it.First(); ok; ok = it.Next() {
-		dest(it.Key()).Store(it.Key(), it.Value(), nil)
-		moved++
+	for i, b := range srcs {
+		b.trie.ReleaseEpoch(warmPins[i])
+		b.trie.ReleaseEpoch(sealPins[i])
 	}
-	return mig, moved
-}
-
-// sealAndResync runs phases 2 and 3: seals the source (the Lock/Unlock
-// is the barrier after which no writer is in flight and every dirty
-// mark is visible) and replays the dirty delta against its frozen
-// contents.
-func sealAndResync[V any](b *bucket[V], mig *migration, dest func(uint64) *core.SkipTrie[V]) (dirty int) {
-	b.mu.Lock()
-	b.state = bucketSealed
-	b.mu.Unlock()
-
-	mig.mu.Lock()
-	defer mig.mu.Unlock()
-	for k := range mig.dirty {
-		if v, ok := b.trie.Find(k, nil); ok {
-			dest(k).Store(k, v, nil)
-		} else {
-			dest(k).Delete(k, nil)
-		}
-	}
-	return len(mig.dirty)
+	ms.Shards = len(bs)
+	ms.Duration = time.Since(start)
+	return ms
 }

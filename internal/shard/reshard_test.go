@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"skiptrie/internal/stats"
 )
 
 // contents returns the trie's key/value pairs in order.
@@ -48,7 +50,7 @@ func TestSplitMergeQuiesced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Split %d: %v", i, err)
 		}
-		if ms.Shards != tr.Shards() || ms.Moved == 0 {
+		if ms.Shards != tr.Shards() || ms.Moved == 0 || ms.Duration <= 0 {
 			t.Fatalf("Split %d: stats %+v, Shards()=%d", i, ms, tr.Shards())
 		}
 		check("after split")
@@ -70,11 +72,13 @@ func TestSplitMergeQuiesced(t *testing.T) {
 	}
 
 	// Merge everything back down to one shard.
+	merges := 0
 	for tr.Shards() > 1 {
 		merged := false
 		for _, in := range tr.Buckets() {
 			if _, err := tr.Merge(in.Lo); err == nil {
 				merged = true
+				merges++
 				check("after merge")
 				break
 			}
@@ -83,10 +87,99 @@ func TestSplitMergeQuiesced(t *testing.T) {
 			t.Fatalf("no merge possible at %d shards: %+v", tr.Shards(), tr.Buckets())
 		}
 	}
-	splits, merges, moved, dur := tr.ReshardStats()
-	if splits != 3 || merges != 4 || moved == 0 || dur <= 0 {
-		t.Fatalf("ReshardStats = %d splits, %d merges, %d moved, %v", splits, merges, moved, dur)
+	if merges != 4 {
+		t.Fatalf("%d merges back to one shard, want 4", merges)
 	}
+}
+
+// TestMigrateCarriesPreSealWrites writes to each draining source after
+// its warm copy and before its seal — every kind of change the journal
+// replay must carry into the destinations — then checks the new
+// partition against a model, its invariants, and that the migration
+// released its pins on the retired sources as well as the live buckets. The writes run inside the warm-copy trace event,
+// which fires on the migrating goroutine between the copy and the seal.
+// That is safe because Split and Merge hold only reshardMu, which
+// writes never take, and the source stays writable until its seal.
+func TestMigrateCarriesPreSealWrites(t *testing.T) {
+	const w = 12
+	var tr *Trie[uint64]
+	model := map[uint64]uint64{}
+	val := uint64(1 << 20)
+	store := func(k uint64) {
+		val++
+		tr.Store(k, val, nil)
+		model[k] = val
+	}
+	del := func(k uint64) {
+		tr.Delete(k, nil)
+		delete(model, k)
+	}
+	// Every even key is resident before the first migration; odd keys
+	// are new. 1<<10 is the boundary between Split's two children and
+	// between Merge's two sources.
+	const mid = 1 << 10
+	warmEvents := 0
+	tr = New[uint64](Config{Width: w, Shards: 2, Seed: 3, Trace: &stats.Trace{
+		Migration: func(_ bool, phase string, lo uint64, _ uint8, _ int, _ int64) {
+			if phase != "warm-copy" {
+				return
+			}
+			warmEvents++
+			store(lo + 2) // overwrite a copied key
+			del(lo + 4)   // delete a copied key
+			store(lo + 7) // insert a new key
+			store(lo + 9) // insert a new key,
+			del(lo + 9)   // then delete it
+			del(lo + 6)   // delete a copied key,
+			store(lo + 6) // then reinsert it with a new value
+			keys := []uint64{mid - 3, mid - 2, mid + 1, mid + 2}
+			vals := make([]uint64, len(keys))
+			for i, k := range keys {
+				val++
+				vals[i] = val
+				model[k] = val
+			}
+			tr.StoreBatch(keys, vals, nil) // spans both children
+		},
+	}})
+	for k := uint64(0); k < 1<<w; k += 2 {
+		tr.Store(k, k, nil)
+		model[k] = k
+	}
+
+	check := func(stage string, events int, old *table[uint64]) {
+		t.Helper()
+		if warmEvents != events {
+			t.Fatalf("%s: %d warm-copy events, want %d", stage, warmEvents, events)
+		}
+		got := contents(tr)
+		if len(got) != len(model) {
+			t.Fatalf("%s: %d keys, want %d", stage, len(got), len(model))
+		}
+		for k, v := range model {
+			if g, ok := got[k]; !ok || g != v {
+				t.Fatalf("%s: key %#x = %#x (present %v), want %#x", stage, k, g, ok, v)
+			}
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: Validate: %v", stage, err)
+		}
+		for _, b := range append(old.buckets, tr.tab.Load().buckets...) {
+			if n := b.trie.PinnedEpochs(); n != 0 {
+				t.Fatalf("%s: bucket [%#x,%#x] holds %d pins", stage, b.lo, b.hi, n)
+			}
+		}
+	}
+	old := tr.tab.Load()
+	if _, err := tr.Split(0); err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	check("after Split", 1, old)
+	old = tr.tab.Load()
+	if _, err := tr.Merge(0); err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
+	check("after Merge", 3, old)
 }
 
 func TestSplitMergeLimits(t *testing.T) {
@@ -343,6 +436,7 @@ func TestTortureReshardBoundaryChurn(t *testing.T) {
 		}(int64(100 + g))
 	}
 	var rwg sync.WaitGroup
+	splits := 0 // successful Splits; read after rwg.Wait
 	rwg.Add(1)
 	go func() {
 		defer rwg.Done()
@@ -355,7 +449,9 @@ func TestTortureReshardBoundaryChurn(t *testing.T) {
 			}
 			k := uint64(rng.Intn(1 << w))
 			if rng.Intn(3) > 0 {
-				tr.Split(k)
+				if _, err := tr.Split(k); err == nil {
+					splits++
+				}
 			} else {
 				tr.Merge(k)
 			}
@@ -365,11 +461,9 @@ func TestTortureReshardBoundaryChurn(t *testing.T) {
 	close(stop)
 	rwg.Wait()
 
-	splits, merges, _, _ := tr.ReshardStats()
 	if splits == 0 {
 		t.Fatal("no split ever succeeded during the torture")
 	}
-	_ = merges
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate after reshard churn: %v", err)
 	}

@@ -34,15 +34,15 @@
 // reads are lock-free (a read routed to a retired shard observes its
 // frozen final contents and linearizes before the table swap); writes
 // hold the home shard's write latch in shared mode, which never blocks
-// except for the two pointer-flip instants of a reshard draining that
-// exact shard. An ordered query answered entirely by its home shard is
-// likewise linearizable. A query that stitches across shard boundaries
-// is not one atomic action: it observes each probed shard at a
-// different instant, so under concurrent cross-shard movement it may
-// return a key farther from x than the true extremum, or not-found —
-// the same weakly-consistent contract Range already has. Every key it
-// does return was present, with the returned value, at the moment its
-// shard was probed.
+// except at the seal of a reshard draining that exact shard (after it,
+// writers re-route until the new table is published). An ordered query
+// answered entirely by its home shard is likewise linearizable. A query
+// that stitches across shard boundaries is not one atomic action: it
+// observes each probed shard at a different instant, so under
+// concurrent cross-shard movement it may return a key farther from x
+// than the true extremum, or not-found — the same weakly-consistent
+// contract Range already has. Every key it does return was present,
+// with the returned value, at the moment its shard was probed.
 package shard
 
 import (
@@ -103,10 +103,6 @@ type Trie[V any] struct {
 	// reshardMu serializes Split and Merge (one migration at a time);
 	// it is never taken by reads or writes.
 	reshardMu sync.Mutex
-
-	// Cumulative reshard counters, for diagnostics and metrics.
-	splits, merges, movedKeys atomic.Uint64
-	migrateNanos              atomic.Int64
 }
 
 // resolveShards applies Config.Shards's default, rounding and clamps,
@@ -201,13 +197,12 @@ func (t *Trie[V]) Shard(key uint64) *core.SkipTrie[V] {
 // acquire routes key to its bucket and takes the bucket's write latch
 // in shared mode, retrying through fresh tables while the bucket is
 // sealed (a reshard is publishing its replacement). On return the
-// bucket is writable — active or migrating — and stays so until the
-// caller releases.
+// bucket is active and stays so until the caller releases.
 func (t *Trie[V]) acquire(key uint64) *bucket[V] {
 	for {
 		b := t.tab.Load().route(key)
 		b.mu.RLock()
-		if b.state != bucketSealed {
+		if !b.sealed {
 			return b
 		}
 		b.mu.RUnlock()
@@ -216,15 +211,10 @@ func (t *Trie[V]) acquire(key uint64) *bucket[V] {
 	}
 }
 
-// release files key in the bucket's dirty set when a migration is
-// draining it (so the sealed resync replays this write), then drops the
-// latch and counts the op.
-func (b *bucket[V]) release(key uint64) {
-	if b.state == bucketMigrating {
-		b.mig.mark(key)
-	}
+// release drops the write latch acquire took and counts n ops.
+func (b *bucket[V]) release(n int) {
 	b.mu.RUnlock()
-	b.ops.Add(1)
+	b.ops.Add(uint64(n))
 }
 
 // Insert adds key with its value, reporting whether the key was absent.
@@ -234,7 +224,7 @@ func (t *Trie[V]) Insert(key uint64, val V, c *stats.Op) bool {
 	}
 	b := t.acquire(key)
 	ok := b.trie.Insert(key, val, c)
-	b.release(key)
+	b.release(1)
 	return ok
 }
 
@@ -252,7 +242,7 @@ func (t *Trie[V]) Store(key uint64, val V, c *stats.Op) bool {
 	}
 	b := t.acquire(key)
 	ok := b.trie.Store(key, val, c)
-	b.release(key)
+	b.release(1)
 	return ok
 }
 
@@ -286,16 +276,7 @@ func (t *Trie[V]) StoreBatch(keys []uint64, vals []V, c *stats.Op) int {
 			end++
 		}
 		inserted += b.trie.StoreRun(keys[i:end], vals[i:end], c)
-		// Inlined release(key) for the whole chunk: dirty-mark every
-		// key while a migration is draining this shard (the sealed
-		// resync replays them), then drop the latch and count the ops.
-		if b.state == bucketMigrating {
-			for _, k := range keys[i:end] {
-				b.mig.mark(k)
-			}
-		}
-		b.mu.RUnlock()
-		b.ops.Add(uint64(end - i))
+		b.release(end - i)
 		i = end
 	}
 	return inserted
@@ -309,7 +290,7 @@ func (t *Trie[V]) LoadOrStore(key uint64, val V, c *stats.Op) (actual V, loaded 
 	}
 	b := t.acquire(key)
 	actual, loaded = b.trie.LoadOrStore(key, val, c)
-	b.release(key)
+	b.release(1)
 	return actual, loaded
 }
 
@@ -320,14 +301,14 @@ func (t *Trie[V]) Delete(key uint64, c *stats.Op) bool {
 	}
 	b := t.acquire(key)
 	ok := b.trie.Delete(key, c)
-	b.release(key)
+	b.release(1)
 	return ok
 }
 
-// Contains reports whether key is present. Reads take no latch: a
-// migrating home shard is still authoritative, and a sealed one holds
-// its frozen final contents, which linearize before the table swap
-// that retired it.
+// Contains reports whether key is present. Reads take no latch: an
+// active home shard is authoritative even while a migration copies it,
+// and a sealed one holds its frozen final contents, which linearize
+// before the table swap that retired it.
 func (t *Trie[V]) Contains(key uint64, c *stats.Op) bool {
 	if !t.inUniverse(key) {
 		return false
@@ -512,13 +493,6 @@ func (t *Trie[V]) Buckets() []Info {
 	return out
 }
 
-// ReshardStats reports cumulative reshard work: splits, merges, keys
-// moved by migrations, and total migration wall time.
-func (t *Trie[V]) ReshardStats() (splits, merges, moved uint64, dur time.Duration) {
-	return t.splits.Load(), t.merges.Load(), t.movedKeys.Load(),
-		time.Duration(t.migrateNanos.Load())
-}
-
 // PinStats aggregates the epoch-retention gauges over the current
 // partition: summed live pins, retained nodes and journal segments, and
 // the maximum oldest-pin age across shards. Shards retired by a
@@ -567,10 +541,10 @@ func (t *Trie[V]) Validate() error {
 		}
 		want = b.hi + 1 // wraps to 0 on the last bucket of a 64-bit universe
 		b.mu.RLock()
-		st := b.state
+		sealed := b.sealed
 		b.mu.RUnlock()
-		if st != bucketActive {
-			return fmt.Errorf("shard: bucket %d [%#x,%#x] in live table has state %d", i, b.lo, b.hi, st)
+		if sealed {
+			return fmt.Errorf("shard: bucket %d [%#x,%#x] in live table is sealed", i, b.lo, b.hi)
 		}
 		if err := b.trie.Validate(); err != nil {
 			return err

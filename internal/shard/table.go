@@ -7,25 +7,15 @@ import (
 	"skiptrie/internal/core"
 )
 
-// Bucket states. A bucket starts active, becomes migrating while a
-// split or merge warm-copies its keys elsewhere (writes still land here
-// and are filed in the migration's dirty set), and ends sealed once the
-// final handoff begins. A sealed bucket never changes again: writers
-// that route to it re-load the table and retry, readers may still
-// answer from its frozen contents (see the consistency argument in
-// migrate.go).
-const (
-	bucketActive int32 = iota
-	bucketMigrating
-	bucketSealed
-)
-
 // bucket is one shard: a core.SkipTrie over the aligned key range
 // [lo, hi], plus the per-shard coordination state resharding needs. The
 // trie pointer is fixed for the bucket's lifetime — a split or merge
 // never mutates a bucket's range, it retires the bucket and publishes
 // new ones — so a cursor holding a bucket keeps a stable (eventually
-// frozen) structure to read.
+// frozen) structure to read. A bucket is active until the split or
+// merge draining it seals it (migrate.go). A sealed bucket never
+// changes again: writers that route to it re-load the table and retry,
+// readers may still answer from its frozen contents.
 type bucket[V any] struct {
 	trie *core.SkipTrie[V]
 	lo   uint64 // smallest owned key; aligned to the prefix
@@ -39,28 +29,11 @@ type bucket[V any] struct {
 	// residency, which ops and Len capture.
 	ops atomic.Uint64
 
-	// mu orders writes against reshard state transitions: every write
-	// op holds RLock across its state check + trie operation + dirty
-	// mark, and a reshard holds Lock only for the two instants that flip
-	// state. state and mig are guarded by mu.
-	mu    sync.RWMutex
-	state int32
-	mig   *migration
-}
-
-// migration is the dirty set a draining bucket's concurrent writers
-// file their keys into: the final sealed resync replays exactly these
-// keys against the bucket's frozen contents, so the handoff pause is
-// proportional to the churn during the warm copy, not the bucket size.
-type migration struct {
-	mu    sync.Mutex
-	dirty map[uint64]struct{}
-}
-
-func (m *migration) mark(key uint64) {
-	m.mu.Lock()
-	m.dirty[key] = struct{}{}
-	m.mu.Unlock()
+	// mu orders writes against the seal: every write op holds RLock
+	// across its sealed check and trie operation, and a reshard holds
+	// Lock only for the instant that sets sealed, which mu guards.
+	mu     sync.RWMutex
+	sealed bool
 }
 
 // table is one immutable snapshot of the routing trie: the full bucket

@@ -22,8 +22,10 @@ type Trace struct {
 	// horizon move; dropped is the number of segments freed.
 	JournalTruncate func(dropped int)
 	// Migration reports one phase of a shard migration: phase is
-	// "warm-copy" or "seal-resync", lo/bits identify the source shard's
-	// range, keys is the number of keys the phase moved (copied or
-	// replayed).
+	// "warm-copy" (the pinned view copied) or "seal-resync" (the seal
+	// and the journal replay), lo/bits identify the source shard's
+	// range, keys is the number of keys the phase moved (copied, or
+	// replayed because they differ between the copy's and the seal's
+	// pinned views).
 	Migration func(split bool, phase string, lo uint64, bits uint8, keys int, ns int64)
 }

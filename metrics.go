@@ -105,7 +105,7 @@ type reshardCounters struct {
 	splits, merges, moved atomic.Uint64
 	nanos                 atomic.Int64
 	warmNanos             atomic.Int64  // phase 1: source-live warm copy
-	resyncNanos           atomic.Int64  // phases 2-3: seal + dirty-delta replay
+	resyncNanos           atomic.Int64  // phases 2-3: seal + journal replay
 	skewBits              atomic.Uint64 // float64 bits of the last sampled skew
 }
 
@@ -408,7 +408,7 @@ type ReshardSnapshot struct {
 	MovedKeys    uint64        // keys migrated (warm copies + delta resyncs)
 	MigrateTime  time.Duration // total wall time spent in migrations
 	WarmCopyTime time.Duration // migration time in the source-live warm-copy phase
-	ResyncTime   time.Duration // migration time in the seal + dirty-replay phases
+	ResyncTime   time.Duration // migration time in the seal + journal-replay phases
 	Skew         float64       // last sampled max/mean shard-length skew (0 if never sampled)
 }
 
@@ -434,7 +434,7 @@ type MetricsSnapshot struct {
 	// collector is attached to (summed; OldestPinAge is the maximum).
 	// Unlike the counters these are instantaneous values, not
 	// monotone accumulations, so Sub keeps the newer reading.
-	LivePins        int           // snapshot/watcher epoch pins currently held
+	LivePins        int           // snapshot, watcher and shard-migration epoch pins currently held
 	OldestPinAge    time.Duration // age of the longest-held live pin (0 when unpinned)
 	RetainedNodes   int           // dead nodes retained for pinned epochs
 	JournalSegments int           // live change-journal segments

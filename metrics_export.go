@@ -95,7 +95,7 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	p.printf("skiptrie_reshard_migrate_seconds_total %s\n", formatProm(r.MigrateTime.Seconds()))
 	p.header("skiptrie_reshard_warm_copy_seconds_total", "Migration time in the source-live warm-copy phase.", "counter")
 	p.printf("skiptrie_reshard_warm_copy_seconds_total %s\n", formatProm(r.WarmCopyTime.Seconds()))
-	p.header("skiptrie_reshard_resync_seconds_total", "Migration time in the seal and dirty-replay phases.", "counter")
+	p.header("skiptrie_reshard_resync_seconds_total", "Migration time in the seal and journal-replay phases.", "counter")
 	p.printf("skiptrie_reshard_resync_seconds_total %s\n", formatProm(r.ResyncTime.Seconds()))
 	p.gauge("skiptrie_shard_skew", "Last sampled max/mean shard-length skew.", r.Skew)
 
@@ -112,7 +112,7 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	p.counter("skiptrie_restores_total", "Restore/apply streams completed.", c.Restores)
 	p.counter("skiptrie_restore_entries_total", "Entries applied across restore streams.", c.RestoreEntries)
 
-	p.gauge("skiptrie_live_pins", "Snapshot/watcher epoch pins currently held.", float64(sn.LivePins))
+	p.gauge("skiptrie_live_pins", "Snapshot, watcher and shard-migration epoch pins currently held.", float64(sn.LivePins))
 	p.gauge("skiptrie_oldest_pin_age_seconds", "Age of the longest-held live pin.", sn.OldestPinAge.Seconds())
 	p.gauge("skiptrie_retained_nodes", "Dead nodes retained for pinned epochs.", float64(sn.RetainedNodes))
 	p.gauge("skiptrie_journal_segments", "Live change-journal segments.", float64(sn.JournalSegments))

@@ -28,6 +28,8 @@ import (
 // pinned. LivePins is the structure-wide pin count after the
 // transition. Long-lived or leaked snapshot handles surface here as
 // release events with large ages — or as acquire events never matched.
+// A Sharded Split or Merge pins each source shard twice for the length
+// of its drain, so those pins appear here as well.
 type PinTrace struct {
 	Acquire  bool
 	Epoch    uint64
@@ -49,11 +51,13 @@ type JournalTrace struct {
 }
 
 // MigrationTrace reports one phase of one source shard's migration
-// during Split (Split=true) or Merge. Phase is "warm-copy" (the
-// source-live copy pass) or "seal-resync" (the seal plus dirty-delta
-// replay — the only window writers can observe). Lo and Bits identify
-// the source shard's key range; Keys counts the keys the phase
-// processed (copied, or replayed from the dirty set).
+// during Split (Split=true) or Merge. Phase is "warm-copy" (the copy of
+// the source's pinned view while it stays live) or "seal-resync" (the
+// seal plus the replay of the source's change journal since that pin —
+// the only window writers can observe). Lo and Bits identify the source
+// shard's key range; Keys counts the keys the phase processed: copied,
+// or replayed because the source's pinned views at the copy and at the
+// seal differ.
 type MigrationTrace struct {
 	Split    bool
 	Phase    string
